@@ -10,9 +10,10 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cstdint>
+#include <utility>
 
 #include "attack/boundary_attack.h"
-#include "bench_common.h"
 #include "core/equilibrium.h"
 #include "core/game_model.h"
 #include "data/synthetic.h"
@@ -20,10 +21,9 @@
 #include "defense/knn_filter.h"
 #include "defense/pca_filter.h"
 #include "defense/pipeline.h"
+#include "game/matrix_game.h"
 #include "game/solvers.h"
 #include "la/matrix.h"
-#include "la/simd.h"
-#include "ml/batch_trainer.h"
 #include "ml/svm.h"
 #include "runtime/executor.h"
 #include "runtime/payoff_evaluator.h"
@@ -35,6 +35,17 @@
 namespace {
 
 using namespace pg;
+
+/// Seeded random zero-sum game shared by the solver benches (seed scheme:
+/// offset + size, the same matrices the solver_parallel scenario solves).
+game::MatrixGame random_game(std::size_t m, std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  la::Matrix a(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-5.0, 5.0);
+  }
+  return game::MatrixGame(std::move(a));
+}
 
 data::Dataset corpus(std::size_t n) {
   data::SpambaseLikeConfig cfg;
@@ -222,9 +233,9 @@ double& lp_serial_secs() {
 void BM_SolveLpParallel(benchmark::State& state) {
   // 192x192 random game: enough pivots (and a wide enough tableau) for
   // the per-pivot elimination chunks to carry real work. Seed scheme
-  // matches bench_solver_parallel's LP games (1000 + size), so the two
-  // benches measure the identical matrix.
-  static const game::MatrixGame mg = pg::bench::random_game(192, 192, 1192);
+  // matches the solver_parallel scenario's LP games (1000 + size), so the
+  // two measure the identical matrix.
+  static const game::MatrixGame mg = random_game(192, 192, 1192);
   const auto exec = sim::make_executor(static_cast<std::size_t>(state.range(0)));
   double total = 0.0;
   std::size_t iters = 0;
@@ -253,8 +264,8 @@ double& fp_serial_secs() {
 void BM_FictitiousPlayParallel(benchmark::State& state) {
   // 1024x1024: the strided column gather in the row scan is the
   // per-iteration cost the chunked best-response pass splits. Seed scheme
-  // matches bench_solver_parallel's FP games (2000 + size).
-  static const game::MatrixGame mg = pg::bench::random_game(1024, 1024, 3024);
+  // matches the solver_parallel scenario's FP games (2000 + size).
+  static const game::MatrixGame mg = random_game(1024, 1024, 3024);
   const auto exec = sim::make_executor(static_cast<std::size_t>(state.range(0)));
   double total = 0.0;
   std::size_t iters = 0;
@@ -282,7 +293,7 @@ void BM_FictitiousPlayNarrowBackend(benchmark::State& state) {
   // backend: 0 = serial, 1 = forced dispatch, 2 = forced team (both
   // parallel variants on 4 workers). Results are bit-identical across
   // all three; only the wall-clock moves.
-  static const game::MatrixGame mg = pg::bench::random_game(64, 64, 4064);
+  static const game::MatrixGame mg = random_game(64, 64, 4064);
   const int mode = static_cast<int>(state.range(0));
   const auto exec = sim::make_executor(mode == 0 ? 1 : 4);
   game::IterativeConfig cfg{.iterations = 4000};
@@ -368,87 +379,5 @@ void BM_EmpiricalPayoffGrid(benchmark::State& state) {
 // later runs report their speedup against.
 BENCHMARK(BM_EmpiricalPayoffGrid)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
-
-// ------------------------------------------------ SoA batched retraining
-
-double& batched_retrain_ref_secs() {
-  static double secs = 0.0;
-  return secs;
-}
-
-double& batched_retrain_scalar_secs() {
-  static double secs = 0.0;
-  return secs;
-}
-
-void BM_BatchedRetrain(benchmark::State& state) {
-  // K=8 independent SVM solves -- the shape of one lockstep batch in a
-  // kernel=simd sweep. Arg encodes the path: 0 = sequential reference
-  // trainer (the baseline), 1 = BatchedLinearTrainer on the host's best
-  // tier, 2 = batched forced to the scalar tier (isolates the SoA layout
-  // gain from the vector-ISA gain). All paths produce bit-identical
-  // models (tests/simd_test.cpp asserts it); only the wall-clock moves.
-  constexpr std::size_t kLanes = 8;
-  static const std::vector<data::Dataset> cells_data = [] {
-    std::vector<data::Dataset> out;
-    for (std::size_t k = 0; k < kLanes; ++k) {
-      data::SpambaseLikeConfig cfg;
-      // Slightly ragged, like a real batch: plan_batches sorts cells by
-      // size descending precisely so that lockstep groups hold near-equal
-      // sizes, so a wild spread here would charge the batched path for
-      // padding work no planned batch actually does.
-      cfg.n_instances = 904 + 8 * k;
-      util::Rng rng(100 + k);
-      out.push_back(data::make_spambase_like(cfg, rng));
-    }
-    return out;
-  }();
-  ml::SvmConfig cfg;
-  cfg.epochs = 30;
-  const int mode = static_cast<int>(state.range(0));
-
-  double total = 0.0;
-  std::size_t iters = 0;
-  for (auto _ : state) {
-    util::Stopwatch watch;
-    if (mode == 0) {
-      const ml::SvmTrainer trainer(cfg);
-      for (std::size_t k = 0; k < kLanes; ++k) {
-        util::Rng rng(1000 + 17 * k);
-        benchmark::DoNotOptimize(trainer.train(cells_data[k], rng));
-      }
-    } else {
-      const ml::BatchedLinearTrainer trainer(
-          mode == 1 ? la::simd::detect_tier() : la::simd::Tier::kScalar);
-      std::vector<ml::BatchCell> cells;
-      for (std::size_t k = 0; k < kLanes; ++k) {
-        cells.push_back({&cells_data[k], util::Rng(1000 + 17 * k)});
-      }
-      benchmark::DoNotOptimize(trainer.train_svm(cfg, cells));
-    }
-    total += watch.elapsed_seconds();
-    ++iters;
-  }
-  const double per_iter = total / static_cast<double>(iters);
-  if (mode == 0) batched_retrain_ref_secs() = per_iter;
-  if (mode == 2) batched_retrain_scalar_secs() = per_iter;
-  if (batched_retrain_ref_secs() > 0.0) {
-    state.counters["speedup_vs_reference"] =
-        batched_retrain_ref_secs() / per_iter;
-  }
-  // How much the vector ISA buys over the same SoA code path at width 1
-  // (only meaningful once the Arg(2) scalar-tier run has recorded itself).
-  if (mode == 1 && batched_retrain_scalar_secs() > 0.0) {
-    state.counters["speedup_vs_scalar_tier"] =
-        batched_retrain_scalar_secs() / per_iter;
-  }
-  state.counters["tier"] = static_cast<double>(
-      mode == 1 ? static_cast<int>(la::simd::detect_tier()) : 0);
-  state.SetItemsProcessed(state.iterations() * kLanes);
-}
-// Arg order matters: the reference and scalar-tier runs record the
-// baselines the best-tier run reports its speedups against.
-BENCHMARK(BM_BatchedRetrain)->Arg(0)->Arg(2)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

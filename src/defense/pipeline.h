@@ -49,9 +49,9 @@ class Pipeline {
                                    const Filter* filter,
                                    util::Rng& rng) const;
 
-  /// Everything `run` does before the SGD solve, packaged so a batch
-  /// scheduler can train many pipelines' models in lockstep: `train` and
-  /// `test` are already filtered AND standardized (when configured), and
+  /// Everything `run` does before the SGD solve, packaged so the training
+  /// step can be called (and timed) on its own: `train` and `test` are
+  /// already filtered AND standardized (when configured), and
   /// `train_rng` is the exact stream the sequential `run` would have
   /// handed the trainer. `run(args...)` is bit-identical to
   /// `finish(prepare(args...), trainer.train(prep.train, prep.train_rng))`.

@@ -74,7 +74,7 @@ void Matrix::append_row(const Vector& v) {
 // and matvec_transposed walks the matrix in column blocks sized to keep
 // the output slice resident in L1 across all rows (per-column order is
 // still row-ascending, so the blocked result is bit-identical to the
-// naive loop). PG_NO_VECTORIZE swaps back the reference loops.
+// naive loop). tests/la_test.cpp checks both against the naive loops.
 namespace {
 /// Column-block width for matvec_transposed: 512 doubles = 4 KiB of
 /// output accumulators, comfortably L1-resident alongside the row being
@@ -85,14 +85,6 @@ constexpr std::size_t kColBlock = 512;
 Vector Matrix::matvec(const Vector& x) const {
   PG_CHECK(x.size() == cols_, "matvec: size mismatch");
   Vector out(rows_, 0.0);
-#ifdef PG_NO_VECTORIZE
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row_ptr = data_.data() + r * cols_;
-    double s = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) s += row_ptr[c] * x[c];
-    out[r] = s;
-  }
-#else
   const double* base = data_.data();
   const double* px = x.data();
   std::size_t r = 0;
@@ -120,20 +112,12 @@ Vector Matrix::matvec(const Vector& x) const {
     for (std::size_t c = 0; c < cols_; ++c) s += row_ptr[c] * px[c];
     out[r] = s;
   }
-#endif
   return out;
 }
 
 Vector Matrix::matvec_transposed(const Vector& x) const {
   PG_CHECK(x.size() == rows_, "matvec_transposed: size mismatch");
   Vector out(cols_, 0.0);
-#ifdef PG_NO_VECTORIZE
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row_ptr = data_.data() + r * cols_;
-    const double xr = x[r];
-    for (std::size_t c = 0; c < cols_; ++c) out[c] += row_ptr[c] * xr;
-  }
-#else
   const double* base = data_.data();
   double* po = out.data();
   for (std::size_t c0 = 0; c0 < cols_; c0 += kColBlock) {
@@ -144,7 +128,6 @@ Vector Matrix::matvec_transposed(const Vector& x) const {
       for (std::size_t c = c0; c < c1; ++c) po[c] += row_ptr[c] * xr;
     }
   }
-#endif
   return out;
 }
 

@@ -8,7 +8,7 @@
 // The hot kernels (matvec, matvec_transposed) are cache-blocked and
 // ILP-restructured in matrix.cpp WITHOUT reordering any output element's
 // floating-point accumulation -- results are bit-identical to the naive
-// loops (compile with -DPG_NO_VECTORIZE to get those instead).
+// loops.
 #pragma once
 
 #include <cstddef>

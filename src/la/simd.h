@@ -1,130 +1,28 @@
-// Runtime-dispatched SIMD kernel tiers.
+// Host vector-ISA probe.
 //
-// PR 5 stopped at auto-vectorization-friendly loops because reassociating
-// the hot accumulations would move trained accuracies and break the golden
-// baselines. This module goes further WITHOUT giving that up: it detects
-// the host's vector ISA once (cpuid), exposes a function-pointer table of
-// hand-written intrinsic kernels per tier (scalar / SSE2 / AVX2), and --
-// the part the batched trainer is built on -- a family of structure-of-
-// arrays "lockstep" kernels that step K independent models per
-// instruction with each model's OWN floating-point accumulation order
-// preserved exactly (lane k's operations are the sequential trainer's
-// operations, in the sequential order; the vector width spans MODELS, not
-// a single model's dot product).
-//
-// Tolerance contract: the SoA lockstep kernels are bit-identical per lane
-// to the reference trainers BY CONSTRUCTION on every tier (the AVX2
-// variants are compiled without FMA so mul+add cannot contract). The
-// horizontal kernels (dot/matvec) DO reassociate and are only used by
-// opt-in paths validated at the documented 1e-9 tolerance; nothing on the
-// default reference path calls into this module.
-//
-// Tier resolution precedence (highest first): explicit request (the
-// `simd=` spec key) > the PG_SIMD environment variable > cpuid detection.
-// Requesting a tier the host cannot execute is a hard error, never a
-// silent fallback.
+// Detects once (cpuid) the best SIMD tier the host CPU can execute. No
+// kernel in the library dispatches on it; it is recorded alongside
+// measurements so a report states what hardware produced it.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 namespace pg::la::simd {
 
-/// Kernel tiers in strictly increasing capability order (comparisons
-/// below rely on the ordering). kScalar is always available.
+/// Tiers in strictly increasing capability order. kScalar is always
+/// available.
 enum class Tier { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
-
-/// Upper bound on the SoA lane count W the soa_* kernels accept: they
-/// keep one accumulator register per 4 lanes, and 32 lanes caps that at
-/// 8 ymm registers (with room left for the operand streams).
-inline constexpr std::size_t kMaxSoaLanes = 32;
 
 /// "scalar" / "sse2" / "avx2".
 [[nodiscard]] const char* tier_name(Tier tier) noexcept;
-
-/// Parse a tier name; throws std::invalid_argument on anything else.
-[[nodiscard]] Tier parse_tier(const std::string& name);
 
 /// Best tier the host CPU can execute (cpuid-based, cached after the
 /// first call). Non-x86 builds report kScalar.
 [[nodiscard]] Tier detect_tier();
 
-/// Resolve a tier request against the host: `requested` is a tier name,
-/// "auto", or "" (auto). Auto consults $PG_SIMD first (same grammar,
-/// including "auto") and then cpuid; an auto resolution that finds no
-/// vector ISA at all throws (the caller asked for SIMD kernels the host
-/// cannot provide -- forcing "scalar" explicitly is the escape hatch, and
-/// exercises the same batched code path at vector width 1). An explicit
-/// request above detect_tier() throws a one-line error naming both tiers.
+/// The host tier for an automatic request: `requested` must be "" or
+/// "auto" (anything else throws std::invalid_argument); returns
+/// detect_tier().
 [[nodiscard]] Tier resolve_tier(const std::string& requested);
-
-/// Dispatch table of one tier's kernels. `width` is the vector width in
-/// doubles (1 / 2 / 4); the soa_* kernels require the lane count W to be
-/// a multiple of it. All pointers are non-null for every supported tier.
-struct Ops {
-  Tier tier = Tier::kScalar;
-  std::size_t width = 1;
-
-  /// Horizontal kernels (vector width spans ONE array): these
-  /// reassociate the accumulation and carry the 1e-9 tolerance.
-  double (*dot)(const double* x, const double* y, std::size_t n);
-  void (*axpy)(double alpha, const double* x, double* y, std::size_t n);
-  void (*scale)(double* x, double alpha, std::size_t n);
-  /// y[r] = dot(A row r, x) for a row-major rows x cols matrix.
-  void (*matvec)(const double* a, std::size_t rows, std::size_t cols,
-                 const double* x, double* y);
-
-  /// SoA lockstep kernels (vector width spans MODELS; per-lane op order
-  /// is the sequential order, so these are bit-identical per lane).
-  /// Layout: element c of lane k lives at [c * W + k]. W % width == 0.
-  ///
-  /// x_soa[c * W + k] = rows[k][c]: the strided transpose feeding the
-  /// kernels below (block-transposed in registers on the vector tiers).
-  /// Pure data movement -- no arithmetic, bit-exact on every tier. Every
-  /// rows[k] must point at d readable doubles (callers park inactive
-  /// lanes on a dummy row; the step kernels mask them).
-  void (*soa_gather)(const double* const* rows, std::size_t d,
-                     double* x_soa, std::size_t w_lanes);
-  /// scores[k] = b[k] + sum_c w[c][k] * x[c][k], accumulated c-ascending.
-  void (*soa_score)(const double* w, const double* x, const double* b,
-                    double* scores, std::size_t d, std::size_t w_lanes);
-  /// w[c][k] = decay[k] * w[c][k] + step[k] * x[c][k] -- the shared form
-  /// of both Pegasos branches (non-violating lanes pass step = 0, which
-  /// reproduces `w *= decay` bitwise; inactive/ragged lanes pass
-  /// decay = 1, step = 0, leaving w untouched).
-  void (*soa_affine_step)(double* w, const double* x, const double* decay,
-                          const double* step, std::size_t d,
-                          std::size_t w_lanes);
-  /// w[c][k] -= eta[k] * (g[k] * x[c][k] + lambda * w[c][k]) -- the
-  /// logistic SGD update with the reference expression tree. Inactive
-  /// lanes pass eta = 0, g = 0.
-  void (*soa_logreg_step)(double* w, const double* x, const double* eta,
-                          const double* g, double lambda, std::size_t d,
-                          std::size_t w_lanes);
-
-  /// Fused steady-state step: in ONE pass over w, per column c
-  /// (ascending) apply soa_affine_step's update for the CURRENT sample
-  /// x, gather the NEXT sample (rows -> x_next, soa_gather semantics),
-  /// and accumulate the next sample's score over the just-updated
-  /// weights (scores[k] = b[k] + sum_c w[c][k] * x_next[c][k]). Every
-  /// per-lane FP operation and its order is exactly the three separate
-  /// kernels' -- the fusion only removes two of the three sweeps of w/x
-  /// through L1 per SGD step, which is where the batched trainer's
-  /// throughput comes from.
-  void (*soa_affine_fused)(double* w, const double* x, const double* decay,
-                           const double* step, const double* const* rows,
-                           double* x_next, const double* b, double* scores,
-                           std::size_t d, std::size_t w_lanes);
-  /// Fused logistic twin: soa_logreg_step's update + gather + score.
-  void (*soa_logreg_fused)(double* w, const double* x, const double* eta,
-                           const double* g, double lambda,
-                           const double* const* rows, double* x_next,
-                           const double* b, double* scores, std::size_t d,
-                           std::size_t w_lanes);
-};
-
-/// Kernel table for a tier. Throws when the tier is not executable on
-/// this host (resolve_tier() already guarantees executability).
-[[nodiscard]] const Ops& ops(Tier tier);
 
 }  // namespace pg::la::simd

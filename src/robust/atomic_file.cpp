@@ -45,8 +45,16 @@ void atomic_write_file(const std::string& path, std::string_view content,
   // The injection point sits between write and fsync+rename -- the worst
   // moment: `crash` leaves only the temp file (the final path is intact
   // or absent, never torn), `short-write` truncates and renames anyway
-  // to exercise loaders against a torn final file.
-  const FaultHit hit = faultpoint(site, arg);
+  // to exercise loaders against a torn final file. An injected `throw`
+  // cleans up like a real failure: no leaked fd, no temp left behind.
+  FaultHit hit;
+  try {
+    hit = faultpoint(site, arg);
+  } catch (...) {
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    throw;
+  }
   if (hit.short_write && content.size() > 1) {
     if (::ftruncate(fd, static_cast<off_t>(content.size() / 2)) != 0) {
       fail(fd, tmp, "cannot truncate");

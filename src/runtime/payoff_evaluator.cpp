@@ -94,27 +94,6 @@ void PayoffCache::publish(std::uint64_t key, double value) {
   flight_cv_.notify_all();
 }
 
-PayoffCache::TryClaim PayoffCache::try_claim(std::uint64_t key,
-                                             double& value) {
-  static obs::Counter& obs_hits = obs::counter("obs.cache.hits");
-  static obs::Counter& obs_misses = obs::counter("obs.cache.misses");
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
-    ++stats_.hits;
-    obs_hits.add(1);
-    value = it->second;
-    return TryClaim::kHit;
-  }
-  if (inflight_.insert(key).second) {
-    ++stats_.misses;
-    obs_misses.add(1);
-    return TryClaim::kOwner;
-  }
-  // In flight elsewhere; deliberately uncounted (see header).
-  return TryClaim::kBusy;
-}
-
 void PayoffCache::abandon(std::uint64_t key) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -197,88 +176,6 @@ std::vector<double> PayoffEvaluator::evaluate_cells(std::size_t count,
     computed_.fetch_add(1, std::memory_order_relaxed);
     obs_retrains.add(1);
   });
-  return values;
-}
-
-std::vector<double> PayoffEvaluator::evaluate_cells_batched(
-    std::size_t count, const BatchFn& batch, const KeyFn& key) const {
-  PG_CHECK(batch != nullptr, "PayoffEvaluator: null batch function");
-  obs::Span span("evaluate_cells_batched", "payoff");
-  static obs::Counter& obs_retrains = obs::counter("obs.cache.retrains");
-  std::vector<double> values(count, 0.0);
-
-  if (cache_ == nullptr || !key) {
-    std::vector<std::size_t> all(count);
-    for (std::size_t i = 0; i < count; ++i) all[i] = i;
-    batch(all, values);
-    computed_.fetch_add(count, std::memory_order_relaxed);
-    obs_retrains.add(count);
-    return values;
-  }
-
-  // Phase A: non-blocking triage. try_claim never sleeps, so holding many
-  // unpublished claims here cannot deadlock against a concurrent batched
-  // evaluation claiming the same keys in a different order.
-  std::vector<std::size_t> owned;
-  std::vector<std::uint64_t> owned_keys;
-  std::vector<std::size_t> pending;  // owned by someone else right now
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t k = key(i);
-    double cached = 0.0;
-    switch (cache_->try_claim(k, cached)) {
-      case PayoffCache::TryClaim::kHit:
-        values[i] = cached;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case PayoffCache::TryClaim::kOwner:
-        owned.push_back(i);
-        owned_keys.push_back(k);
-        break;
-      case PayoffCache::TryClaim::kBusy:
-        pending.push_back(i);
-        break;
-    }
-  }
-
-  if (!owned.empty()) {
-    try {
-      batch(owned, values);
-    } catch (...) {
-      for (const std::uint64_t k : owned_keys) cache_->abandon(k);
-      throw;
-    }
-    for (std::size_t j = 0; j < owned.size(); ++j) {
-      cache_->publish(owned_keys[j], values[owned[j]]);
-    }
-    computed_.fetch_add(owned.size(), std::memory_order_relaxed);
-    obs_retrains.add(owned.size());
-  }
-
-  // Phase B: cells that were in flight elsewhere. All our claims are
-  // published by now, so blocking is safe -- but only one claim at a
-  // time, released (published) before the next, to keep it that way.
-  for (const std::size_t i : pending) {
-    const std::uint64_t k = key(i);
-    double cached = 0.0;
-    if (cache_->claim(k, cached) != PayoffCache::Claim::kOwner) {
-      values[i] = cached;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    // The original owner abandoned; retrain through the same batched
-    // path (single-cell batch) so the published value never depends on
-    // which contender won the promotion.
-    const std::vector<std::size_t> one{i};
-    try {
-      batch(one, values);
-    } catch (...) {
-      cache_->abandon(k);
-      throw;
-    }
-    cache_->publish(k, values[i]);
-    computed_.fetch_add(1, std::memory_order_relaxed);
-    obs_retrains.add(1);
-  }
   return values;
 }
 

@@ -6,12 +6,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <ctime>
-#include <fstream>
-#include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,7 +30,6 @@
 #include "defense/roni.h"
 #include "game/best_response.h"
 #include "game/solvers.h"
-#include "la/simd.h"
 #include "la/vector_ops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -41,7 +39,6 @@
 #include "runtime/payoff_evaluator.h"
 #include "runtime/rng_stream.h"
 #include "scenario/cache_bundle.h"
-#include "scenario/registry.h"
 #include "scenario/sweep.h"
 #include "sim/curve_fit.h"
 #include "sim/experiment.h"
@@ -71,28 +68,6 @@ sim::ExperimentConfig experiment_config(const ScenarioSpec& spec) {
   return cfg;
 }
 
-/// Resolve the spec's retrain-kernel request. nullopt = the bit-identical
-/// reference default. kernel=simd resolves the tier (spec `simd=` over
-/// $PG_SIMD over cpuid; an unsatisfiable request throws a one-line error,
-/// never a silent fallback) and records it on the obs.simd.tier gauge
-/// (encoded tier+1, so 0 distinguishes "never requested").
-std::optional<sim::RetrainKernel> resolve_retrain_kernel(
-    const ScenarioSpec& spec) {
-  if (spec.kernel.empty() || spec.kernel == "reference") {
-    PG_CHECK(spec.simd.empty(),
-             "simd= tier override requires kernel=simd (the reference "
-             "kernel has no tiers)");
-    return std::nullopt;
-  }
-  PG_CHECK(spec.kernel == "simd", "unknown kernel '" + spec.kernel +
-                                      "' (expected reference or simd)");
-  sim::RetrainKernel kernel;
-  kernel.tier = la::simd::resolve_tier(spec.simd);
-  obs::gauge("obs.simd.tier")
-      .record(static_cast<std::uint64_t>(kernel.tier) + 1);
-  return kernel;
-}
-
 void add_context_metrics(const sim::ExperimentContext& ctx,
                          ScenarioResult& result) {
   result.add_metric("corpus_source", ctx.corpus_source);
@@ -116,20 +91,18 @@ ResultTable sweep_table(const sim::PureSweepResult& sweep) {
 }
 
 // ------------------------------------------------------------- pure_sweep
-// Legacy bench_fig1: the Fig.-1 sweep plus fitted payoff curves.
+// The Fig.-1 sweep plus fitted payoff curves.
 void run_pure_sweep_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
                              CacheBundle& bundle, ScenarioResult& result) {
   const sim::ExperimentContext ctx =
       sim::prepare_experiment(experiment_config(spec));
   add_context_metrics(ctx, result);
 
-  const auto kernel = resolve_retrain_kernel(spec);
   sim::PureSweepStats sweep_stats;
   const auto grid = sim::sweep_grid(spec.sweep_max, spec.sweep_steps);
   const auto sweep = sim::run_pure_sweep(
       ctx, grid, spec.replications, exec,
-      bundle.shard(sim::context_fingerprint(ctx)), &sweep_stats,
-      kernel ? &*kernel : nullptr);
+      bundle.shard(sim::context_fingerprint(ctx)), &sweep_stats);
   bundle.add_sweep_stats(sweep_stats);
   result.tables.push_back(sweep_table(sweep));
 
@@ -152,7 +125,7 @@ void run_pure_sweep_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
 }
 
 // ------------------------------------------------------------ mixed_table
-// Legacy bench_table1: Algorithm 1 at n in [support_min, support_max],
+// Algorithm 1 at n in [support_min, support_max],
 // empirical mixed evaluation, and the mixed-vs-pure comparison claim.
 void run_mixed_table_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
                               CacheBundle& bundle, ScenarioResult& result) {
@@ -166,12 +139,10 @@ void run_mixed_table_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   const runtime::PayoffEvaluator evaluator(runtime::executor_or_serial(exec),
                                            cache);
 
-  const auto kernel = resolve_retrain_kernel(spec);
-  const sim::RetrainKernel* kptr = kernel ? &*kernel : nullptr;
   sim::PureSweepStats sweep_stats;
   const auto grid = sim::sweep_grid(spec.sweep_max, spec.sweep_steps);
   const auto sweep = sim::run_pure_sweep(ctx, grid, spec.replications, exec,
-                                         cache, &sweep_stats, kptr);
+                                         cache, &sweep_stats);
   bundle.add_sweep_stats(sweep_stats);
   const auto curves = sim::fit_payoff_curves(sweep);
   const core::PoisoningGame game(curves, ctx.poison_budget);
@@ -194,7 +165,6 @@ void run_mixed_table_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
 
     sim::MixedEvalConfig ecfg;
     ecfg.draws = spec.draws;
-    ecfg.kernel = kptr;
     const auto eval =
         sim::evaluate_mixed_defense(ctx, sol.strategy, ecfg, evaluator);
 
@@ -240,7 +210,7 @@ void run_mixed_table_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
 }
 
 // --------------------------------------------------------------- pure_ne
-// Legacy bench_prop1: duality gap / saddle scan / best-response cycling
+// Duality gap / saddle scan / best-response cycling
 // on measured and analytic curve families, plus a control game.
 void run_pure_ne_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
                           CacheBundle& bundle, ScenarioResult& result) {
@@ -266,12 +236,11 @@ void run_pure_ne_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   const sim::ExperimentContext ctx =
       sim::prepare_experiment(experiment_config(spec));
   add_context_metrics(ctx, result);
-  const auto kernel = resolve_retrain_kernel(spec);
   sim::PureSweepStats sweep_stats;
   const auto sweep = sim::run_pure_sweep(
       ctx, sim::sweep_grid(spec.sweep_max, spec.sweep_steps),
       spec.replications, exec, bundle.shard(sim::context_fingerprint(ctx)),
-      &sweep_stats, kernel ? &*kernel : nullptr);
+      &sweep_stats);
   bundle.add_sweep_stats(sweep_stats);
   report("measured (Spambase-like sweep)",
          core::PoisoningGame(sim::fit_payoff_curves(sweep),
@@ -299,7 +268,7 @@ void run_pure_ne_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
 }
 
 // ---------------------------------------------------------- support_sweep
-// Legacy bench_nsweep: the section-5 plateau claim.
+// The section-5 plateau claim.
 void run_support_sweep_scenario(const ScenarioSpec& spec,
                                 runtime::Executor* exec, CacheBundle& bundle,
                                 ScenarioResult& result) {
@@ -311,19 +280,16 @@ void run_support_sweep_scenario(const ScenarioSpec& spec,
   const runtime::PayoffEvaluator evaluator(runtime::executor_or_serial(exec),
                                            cache);
 
-  const auto kernel = resolve_retrain_kernel(spec);
-  const sim::RetrainKernel* kptr = kernel ? &*kernel : nullptr;
   sim::PureSweepStats sweep_stats;
   const auto sweep = sim::run_pure_sweep(
       ctx, sim::sweep_grid(spec.sweep_max, spec.sweep_steps),
-      spec.replications, exec, cache, &sweep_stats, kptr);
+      spec.replications, exec, cache, &sweep_stats);
   bundle.add_sweep_stats(sweep_stats);
   const auto curves = sim::fit_payoff_curves(sweep);
   const core::PoisoningGame game(curves, ctx.poison_budget);
 
   sim::MixedEvalConfig ecfg;
   ecfg.draws = spec.draws;
-  ecfg.kernel = kptr;
   const auto rows = sim::run_support_sweep(ctx, game, spec.support_max, {},
                                            ecfg, exec, &evaluator);
 
@@ -351,7 +317,7 @@ void run_support_sweep_scenario(const ScenarioSpec& spec,
 }
 
 // ---------------------------------------------------------------- transfer
-// Legacy bench_transfer: source-solved strategy transplanted onto three
+// Source-solved strategy transplanted onto three
 // perturbed target corpora vs the natively-solved strategy.
 void run_transfer_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
                            CacheBundle& bundle, ScenarioResult& result) {
@@ -382,13 +348,10 @@ void run_transfer_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
     targets.push_back(t);
   }
 
-  const auto kernel = resolve_retrain_kernel(spec);
   sim::TransferConfig tcfg;
   tcfg.eval.draws = spec.draws;
   tcfg.sweep_replications = spec.replications;
   tcfg.support_size = spec.support_max;
-  tcfg.kernel = kernel ? &*kernel : nullptr;
-  tcfg.eval.kernel = tcfg.kernel;
 
   runtime::PayoffCache* source_cache =
       bundle.shard(sim::context_fingerprint(source));
@@ -416,7 +379,7 @@ void run_transfer_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
 }
 
 // --------------------------------------------------------- solver_ablation
-// Legacy bench_solver_ablation: four routes to the mixed NE on analytic
+// Four routes to the mixed NE on analytic
 // and measured curves.
 void run_solver_ablation_scenario(const ScenarioSpec& spec,
                                   runtime::Executor* exec, CacheBundle& bundle,
@@ -500,12 +463,11 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
   const sim::ExperimentContext ctx =
       sim::prepare_experiment(experiment_config(spec));
   add_context_metrics(ctx, result);
-  const auto kernel = resolve_retrain_kernel(spec);
   sim::PureSweepStats sweep_stats;
   const auto sweep = sim::run_pure_sweep(
       ctx, sim::sweep_grid(spec.sweep_max, spec.sweep_steps),
       spec.replications, exec, bundle.shard(sim::context_fingerprint(ctx)),
-      &sweep_stats, kernel ? &*kernel : nullptr);
+      &sweep_stats);
   bundle.add_sweep_stats(sweep_stats);
   ablate("measured_curves",
          core::PoisoningGame(sim::fit_payoff_curves(sweep),
@@ -514,7 +476,7 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
 }
 
 // -------------------------------------------------------- defense_ablation
-// Legacy bench_defense_ablation: centroid drift under attack plus the
+// Centroid drift under attack plus the
 // sanitizer-family comparison across attack families.
 void run_defense_ablation_scenario(const ScenarioSpec& spec,
                                    runtime::Executor* exec,
@@ -697,7 +659,7 @@ void run_defense_ablation_scenario(const ScenarioSpec& spec,
 }
 
 // --------------------------------------------------------- solver_parallel
-// Legacy bench_solver_parallel: serial vs executor-parallel solves with
+// Serial vs executor-parallel solves with
 // the bit-identity assertion.
 game::MatrixGame random_game(std::size_t m, std::size_t n,
                              std::uint64_t seed) {
@@ -1133,13 +1095,6 @@ ScenarioResult run_scenario_impl(const ScenarioSpec& spec,
     for (const std::string& value : axis.values) (void)runner_for(value);
   }
   if (!kind_swept) (void)runner_for(spec.kind);
-
-  // Surface the host's vector ISA on every run (metrics snapshots carry
-  // it even for reference runs), and fail an unsatisfiable kernel=simd
-  // request HERE, before any cell retrains.
-  obs::gauge("obs.simd.detected")
-      .record(static_cast<std::uint64_t>(la::simd::detect_tier()) + 1);
-  (void)resolve_retrain_kernel(spec);
 
   util::Stopwatch watch;
   // ONE cache bundle for the whole grid: points sharing an experiment
@@ -1593,24 +1548,6 @@ ScenarioResult merge_partials(
         merged.cache.disk_max_bytes, num("disk_max_bytes"));
   }
   return merged;
-}
-
-int run_legacy_bench(const std::string& name, const std::string& json_out) {
-  try {
-    const ScenarioSpec spec = ScenarioRegistry::instance().make(name);
-    const ScenarioResult result = run_scenario(spec);
-    write_text(result, std::cout);
-    if (!json_out.empty()) {
-      std::ofstream out(json_out);
-      PG_CHECK(static_cast<bool>(out), "cannot write " + json_out);
-      write_json(result, out);
-      std::cout << "wrote " << json_out << "\n";
-    }
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
 }
 
 }  // namespace pg::scenario

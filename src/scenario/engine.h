@@ -119,10 +119,4 @@ struct EngineContext {
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec,
                                           EngineContext& context);
 
-/// The thin-wrapper entry point the legacy bench_* binaries delegate to:
-/// build the registered spec (env-aware), run it, print the text sink to
-/// stdout, optionally also write the JSON sink to `json_out`. Returns a
-/// process exit code (errors print to stderr).
-int run_legacy_bench(const std::string& name, const std::string& json_out = "");
-
 }  // namespace pg::scenario

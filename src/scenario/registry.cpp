@@ -9,8 +9,8 @@ namespace pg::scenario {
 
 namespace {
 
-/// The shared PG_BENCH_* envelope every legacy bench started from
-/// (bench_common.h's paper_config + sweep_reps + bench_executor).
+/// The shared PG_BENCH_* envelope every registered paper scenario starts
+/// from (the legacy benches' paper_config + sweep_reps + executor width).
 ScenarioSpec paper_base() {
   ScenarioSpec spec;
   spec.seed = util::env_size("PG_BENCH_SEED", 42);

@@ -2,8 +2,8 @@
 // used to hard-code, expressed as a ScenarioSpec factory.
 //
 // The factories read the historical PG_BENCH_* environment knobs
-// (seed/instances/epochs/replications/threads, see bench/bench_common.h)
-// exactly the way the legacy benches did -- including the per-scenario
+// (seed/instances/epochs/replications/threads, see paper_base() in
+// registry.cpp) exactly the way the legacy benches did -- including the per-scenario
 // size caps (prop1 ran at min(instances, 1500), etc.) -- so a spec built
 // here reproduces the pre-refactor bench configuration bit for bit at any
 // env setting. CLI overrides (`--set`) then apply on top of the built

@@ -115,8 +115,6 @@ const std::vector<Field>& field_table() {
       PG_SPEC_FIELD(fp_narrow_sizes),
       PG_SPEC_FIELD(timing_reps),
       PG_SPEC_FIELD(threads),
-      PG_SPEC_FIELD(kernel),
-      PG_SPEC_FIELD(simd),
       PG_SPEC_FIELD(use_cache),
       PG_SPEC_FIELD(cache_dir),
       PG_SPEC_FIELD(cache_max_bytes),

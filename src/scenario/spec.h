@@ -88,17 +88,6 @@ struct ScenarioSpec {
 
   // ---- execution -----------------------------------------------------
   std::size_t threads = 0;  // 0 = all cores, 1 = serial
-  /// Retrain kernel: "reference" (default) keeps the bit-identical
-  /// sequential SGD path; "simd" batches cold payoff cells' SGD solves
-  /// into SoA lockstep groups on runtime-dispatched intrinsic kernels
-  /// (validated against every golden at the documented 1e-9 tolerance --
-  /// see README "Kernel tiers"). Anything else is rejected up front.
-  std::string kernel = "reference";
-  /// SIMD tier override for kernel=simd: "" / "auto" (cpuid, after the
-  /// PG_SIMD env var), or an explicit "scalar" / "sse2" / "avx2".
-  /// Requesting a tier the host cannot execute is a hard error, not a
-  /// silent fallback. Only meaningful with kernel=simd.
-  std::string simd;
   /// Memoize payoff cells (in-memory always; spilled to/from disk when a
   /// cache dir is configured). Off = the historical uncached behavior.
   bool use_cache = true;

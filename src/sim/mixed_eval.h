@@ -38,9 +38,6 @@ struct MixedEvalConfig {
   bool include_support_placements = true;
   /// Extra attacker placements to probe (e.g. off-support deviations).
   std::vector<double> extra_placements;
-  /// Opt-in SoA batched retraining for cold cells (the `kernel=simd`
-  /// spec key); null = reference path. Borrowed, must outlive the call.
-  const RetrainKernel* kernel = nullptr;
 };
 
 /// Evaluate through an explicit PayoffEvaluator: cells run in parallel on

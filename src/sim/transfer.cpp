@@ -15,7 +15,7 @@ defense::MixedDefenseStrategy solve_on(const ExperimentContext& ctx,
                                        PureSweepStats* sweep_stats) {
   const auto sweep =
       run_pure_sweep(ctx, config.sweep_fractions, config.sweep_replications,
-                     executor, sweep_cache, sweep_stats, config.kernel);
+                     executor, sweep_cache, sweep_stats);
   const auto curves = fit_payoff_curves(sweep);
   const core::PoisoningGame game(curves, ctx.poison_budget);
   core::Algorithm1Config acfg;

@@ -70,13 +70,6 @@ std::string format_csv(const std::vector<std::string>& header,
   return os.str();
 }
 
-void write_csv(const std::string& path, const std::vector<std::string>& header,
-               const std::vector<std::vector<double>>& rows, char delim) {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("cannot create CSV file: " + path);
-  f << format_csv(header, rows, delim);
-}
-
 bool file_exists(const std::string& path) {
   std::ifstream f(path);
   return static_cast<bool>(f);

@@ -27,11 +27,6 @@ namespace pg::util {
     const std::vector<std::string>& header,
     const std::vector<std::vector<double>>& rows, char delim = ',');
 
-/// Write CSV to a file. Throws std::runtime_error if the file cannot be
-/// created.
-void write_csv(const std::string& path, const std::vector<std::string>& header,
-               const std::vector<std::vector<double>>& rows, char delim = ',');
-
 /// True if the file exists and is readable.
 [[nodiscard]] bool file_exists(const std::string& path);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "attack/boundary_attack.h"
 #include "data/synthetic.h"
@@ -14,6 +15,7 @@
 #include "defense/pipeline.h"
 #include "defense/roni.h"
 #include "la/vector_ops.h"
+#include "ml/svm.h"
 
 namespace pg::defense {
 namespace {
@@ -468,6 +470,35 @@ TEST(PipelineTest, EmptyInputsRejected) {
                std::invalid_argument);
   EXPECT_THROW((void)p.run(d, data::Dataset{}, nullptr, 0, nullptr, rng),
                std::invalid_argument);
+}
+
+// --------------------------------------------------- pipeline split path
+
+TEST(PipelineSplitTest, PrepareTrainFinishMatchesRun) {
+  util::Rng data_rng(21);
+  const data::Dataset train = data::make_gaussian_blobs(120, 6, 4.0, data_rng);
+  data_rng = util::Rng(22);
+  const data::Dataset test = data::make_gaussian_blobs(60, 6, 4.0, data_rng);
+  PipelineConfig pcfg;
+  pcfg.svm.epochs = 20;
+  const Pipeline pipeline(pcfg);
+  DistanceFilterConfig fcfg;
+  fcfg.removal_fraction = 0.15;
+  const DistanceFilter filter(fcfg);
+
+  util::Rng rng_a(5);
+  const auto direct = pipeline.run(train, test, nullptr, 0, &filter, rng_a);
+
+  util::Rng rng_b(5);
+  auto prep = pipeline.prepare(train, test, nullptr, 0, &filter, rng_b);
+  const ml::LinearModel model =
+      ml::SvmTrainer(pcfg.svm).train(prep.train, prep.train_rng);
+  const auto split = Pipeline::finish(std::move(prep), model);
+
+  EXPECT_EQ(direct.test_accuracy, split.test_accuracy);
+  EXPECT_EQ(direct.train_size, split.train_size);
+  EXPECT_EQ(direct.model.bias(), split.model.bias());
+  EXPECT_EQ(direct.model.weights(), split.model.weights());
 }
 
 }  // namespace

@@ -710,5 +710,17 @@ TEST(LpPricingTest, DantzigUsuallyPivotsLess) {
   EXPECT_LE(dantzig_pivots, bland_pivots);
 }
 
+// ------------------------------------------------- kAuto calibration
+
+TEST(TeamCalibrationTest, CutoffIsBoundedAndStable) {
+  const std::size_t a = team_dispatch_min_work();
+  EXPECT_GE(a, 64u * 1024u);
+  EXPECT_LE(a, 4u * 1024u * 1024u);
+  EXPECT_EQ(team_dispatch_min_work(), a);  // probe runs once
+#ifndef PG_OBS_DISABLED
+  EXPECT_EQ(obs::gauge("obs.solver.team_min_work").max(), a);
+#endif
+}
+
 }  // namespace
 }  // namespace pg::game

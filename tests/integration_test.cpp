@@ -143,7 +143,7 @@ TEST(IntegrationTest, Table1EmpiricalMixedCompetitiveWithBestPure) {
   const auto eval = sim::evaluate_mixed_defense(tb.ctx, sol.strategy, ecfg);
   // The strict "mixed > every pure" ordering is asserted in predicted-loss
   // space (Table1MixedBeatsPredictedPureLoss) and measured at full corpus
-  // scale by bench_table1; at CI scale the Monte-Carlo variance of the
+  // scale by `pg_run --scenario table1`; at CI scale the Monte-Carlo variance of the
   // adversarial accuracy (+-5-7%) would make a strict comparison flaky
   // (the paper itself lists the pure-scenario E/Gamma approximation as a
   // limitation). Here we assert the robust empirical facts:

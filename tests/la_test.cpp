@@ -1,11 +1,12 @@
-// Unit and property tests for pg::la -- vector kernels, matrices, and the
-// power-iteration eigensolver.
+// Unit and property tests for pg::la -- vector kernels, matrices, the
+// host SIMD-tier probe, and the power-iteration eigensolver.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "la/eigen.h"
 #include "la/matrix.h"
+#include "la/simd.h"
 #include "la/vector_ops.h"
 #include "util/rng.h"
 
@@ -126,6 +127,45 @@ TEST(MatrixTest, MatvecAndTransposedMatvec) {
   EXPECT_EQ(m.matvec_transposed({1.0, 1.0, 1.0}), (Vector{9.0, 12.0}));
 }
 
+// The naive loops the blocked kernels in matrix.cpp restructure: each
+// output element accumulates in the same order, so results are equal.
+Vector naive_matvec(const Matrix& m, const Vector& x) {
+  Vector out(m.rows(), 0.0);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    double s = 0.0;
+    for (std::size_t c = 0; c < m.cols(); ++c) s += m(r, c) * x[c];
+    out[r] = s;
+  }
+  return out;
+}
+
+Vector naive_matvec_transposed(const Matrix& m, const Vector& x) {
+  Vector out(m.cols(), 0.0);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < m.cols(); ++c) out[c] += m(r, c) * x[r];
+  }
+  return out;
+}
+
+TEST(MatrixTest, BlockedMatvecEqualsNaiveLoops) {
+  util::Rng rng(31);
+  for (const std::size_t rows : {3u, 7u}) {
+    for (const std::size_t cols : {1u, 511u, 512u, 513u, 1030u}) {
+      Matrix m(rows, cols);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) m(r, c) = rng.normal();
+      }
+      Vector x(cols);
+      for (double& v : x) v = rng.normal();
+      Vector y(rows);
+      for (double& v : y) v = rng.normal();
+      EXPECT_EQ(m.matvec(x), naive_matvec(m, x)) << rows << "x" << cols;
+      EXPECT_EQ(m.matvec_transposed(y), naive_matvec_transposed(m, y))
+          << rows << "x" << cols;
+    }
+  }
+}
+
 TEST(MatrixTest, TransposeInvolution) {
   const Matrix m = Matrix::from_rows({{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}});
   const Matrix mt = m.transposed();
@@ -163,6 +203,24 @@ TEST(MatrixTest, SelectRows) {
   EXPECT_DOUBLE_EQ(s(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(s(1, 0), 1.0);
   EXPECT_THROW((void)m.select_rows({5}), std::invalid_argument);
+}
+
+// ----------------------------------------------------------------- simd.h
+
+TEST(SimdTierTest, TierNames) {
+  EXPECT_STREQ(simd::tier_name(simd::Tier::kScalar), "scalar");
+  EXPECT_STREQ(simd::tier_name(simd::Tier::kSse2), "sse2");
+  EXPECT_STREQ(simd::tier_name(simd::Tier::kAvx2), "avx2");
+}
+
+TEST(SimdTierTest, DetectionIsStableAndResolvesAuto) {
+  const simd::Tier first = simd::detect_tier();
+  EXPECT_EQ(simd::detect_tier(), first);  // cached
+  EXPECT_GE(first, simd::Tier::kScalar);
+  EXPECT_LE(first, simd::Tier::kAvx2);
+  EXPECT_EQ(simd::resolve_tier(""), first);
+  EXPECT_EQ(simd::resolve_tier("auto"), first);
+  EXPECT_THROW((void)simd::resolve_tier("avx2"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- eigen.h

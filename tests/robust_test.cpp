@@ -224,6 +224,40 @@ TEST(AtomicFileTest, CrashLeavesTheFinalPathAbsentNeverTorn) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(AtomicFileTest, InjectedThrowDuringUpdateBaselineKeepsTheBaseline) {
+  const std::string dir = fresh_dir("pg_robust_baseline");
+  const std::string baseline = dir + "/baseline.json";
+  const std::string candidate = dir + "/candidate.json";
+  const std::string before =
+      "{\"scenario\": \"t\", \"kind\": \"pure_sweep\", "
+      "\"metrics\": {\"clean_accuracy\": 0.5}, \"tables\": []}";
+  write_file(baseline, before);
+  write_file(candidate,
+             "{\"scenario\": \"t\", \"kind\": \"pure_sweep\", "
+             "\"metrics\": {\"clean_accuracy\": 0.75}, \"tables\": []}");
+
+  const FaultGuard guard("artifact.write:throw");
+  scenario::CliOptions options;
+  options.compare = true;
+  options.compare_baseline = baseline;
+  options.compare_candidate = candidate;
+  options.update_baseline = true;
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_NE(scenario::run_cli(options, out, err), 0);
+  EXPECT_NE(err.str().find("artifact.write"), std::string::npos) << err.str();
+  // The rewrite failed before its rename: the baseline is untouched and
+  // no temp file is left beside it.
+  EXPECT_EQ(read_file(baseline), before);
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++files;
+  }
+  EXPECT_EQ(files, 2u);
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------- cache quarantine
 
 TEST(DiskCacheQuarantineTest, CorruptShardIsQuarantinedOnLoad) {

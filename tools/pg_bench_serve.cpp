@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "robust/atomic_file.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -212,10 +213,7 @@ int main(int argc, char** argv) {
     json << "}\n";
 
     if (!options.out_file.empty()) {
-      std::ofstream out(options.out_file, std::ios::trunc);
-      PG_CHECK(static_cast<bool>(out),
-               "cannot write output file: " + options.out_file);
-      out << json.str();
+      pg::robust::atomic_write_file(options.out_file, json.str());
       std::cout << "wrote " << options.out_file << "\n";
     } else {
       std::cout << json.str();

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "robust/atomic_file.h"
 #include "robust/faultpoint.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -186,10 +187,7 @@ int run_client(const CliOptions& options) {
                                              read_file(options.request_file),
                                              policy, options.meta);
   if (!options.out_file.empty()) {
-    std::ofstream out(options.out_file, std::ios::trunc);
-    PG_CHECK(static_cast<bool>(out),
-             "cannot write output file: " + options.out_file);
-    out << response.body;
+    pg::robust::atomic_write_file(options.out_file, response.body);
     std::cout << "wrote " << options.out_file << "\n";
   } else {
     std::cout << response.body;
