@@ -4,13 +4,12 @@
 //
 // This is the one bench that keeps its own harness (google-benchmark owns
 // main and the timing loop); the registered "micro" scenario
-// (`pg_run --scenario micro`) covers the engine-native subset -- grid
-// fill and solver speedup_vs_serial with the bit-identity assertion --
-// for environments without libbenchmark.
+// (`pg_run --scenario micro`) covers the engine-native subset -- the
+// payoff grid fill's speedup_vs_serial with the bit-identity assertion
+// -- for environments without libbenchmark.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <cstdint>
 #include <utility>
 
 #include "attack/boundary_attack.h"
@@ -35,17 +34,6 @@
 namespace {
 
 using namespace pg;
-
-/// Seeded random zero-sum game shared by the solver benches (seed scheme:
-/// offset + size, the same matrices the solver_parallel scenario solves).
-game::MatrixGame random_game(std::size_t m, std::size_t n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  la::Matrix a(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-5.0, 5.0);
-  }
-  return game::MatrixGame(std::move(a));
-}
 
 data::Dataset corpus(std::size_t n) {
   data::SpambaseLikeConfig cfg;
@@ -222,91 +210,6 @@ void BM_DiscretizeGrid(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256 * 256);
 }
 BENCHMARK(BM_DiscretizeGrid)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-// --------------------------------------------- runtime: parallel solvers
-
-double& lp_serial_secs() {
-  static double secs = 0.0;
-  return secs;
-}
-
-void BM_SolveLpParallel(benchmark::State& state) {
-  // 192x192 random game: enough pivots (and a wide enough tableau) for
-  // the per-pivot elimination chunks to carry real work. Seed scheme
-  // matches the solver_parallel scenario's LP games (1000 + size), so the
-  // two measure the identical matrix.
-  static const game::MatrixGame mg = random_game(192, 192, 1192);
-  const auto exec = sim::make_executor(static_cast<std::size_t>(state.range(0)));
-  double total = 0.0;
-  std::size_t iters = 0;
-  for (auto _ : state) {
-    util::Stopwatch watch;
-    benchmark::DoNotOptimize(game::solve_lp_equilibrium(mg, exec.get()));
-    total += watch.elapsed_seconds();
-    ++iters;
-  }
-  const double per_iter = total / static_cast<double>(iters);
-  if (state.range(0) == 1) lp_serial_secs() = per_iter;
-  if (lp_serial_secs() > 0.0) {
-    state.counters["speedup_vs_serial"] = lp_serial_secs() / per_iter;
-  }
-  state.counters["threads"] = static_cast<double>(exec->concurrency());
-}
-// Arg order matters: the 1-thread run records the serial baseline.
-BENCHMARK(BM_SolveLpParallel)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
-
-double& fp_serial_secs() {
-  static double secs = 0.0;
-  return secs;
-}
-
-void BM_FictitiousPlayParallel(benchmark::State& state) {
-  // 1024x1024: the strided column gather in the row scan is the
-  // per-iteration cost the chunked best-response pass splits. Seed scheme
-  // matches the solver_parallel scenario's FP games (2000 + size).
-  static const game::MatrixGame mg = random_game(1024, 1024, 3024);
-  const auto exec = sim::make_executor(static_cast<std::size_t>(state.range(0)));
-  double total = 0.0;
-  std::size_t iters = 0;
-  for (auto _ : state) {
-    util::Stopwatch watch;
-    benchmark::DoNotOptimize(
-        game::solve_fictitious_play(mg, {.iterations = 2000}, exec.get()));
-    total += watch.elapsed_seconds();
-    ++iters;
-  }
-  const double per_iter = total / static_cast<double>(iters);
-  if (state.range(0) == 1) fp_serial_secs() = per_iter;
-  if (fp_serial_secs() > 0.0) {
-    state.counters["speedup_vs_serial"] = fp_serial_secs() / per_iter;
-  }
-  state.counters["threads"] = static_cast<double>(exec->concurrency());
-}
-BENCHMARK(BM_FictitiousPlayParallel)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
-
-void BM_FictitiousPlayNarrowBackend(benchmark::State& state) {
-  // The dispatch-overhead case PersistentTeam exists for: a NARROW game
-  // (64x64, O(m+n) per iteration) where the fork-join's per-iteration
-  // queue round-trips used to outweigh the step. Arg encodes the
-  // backend: 0 = serial, 1 = forced dispatch, 2 = forced team (both
-  // parallel variants on 4 workers). Results are bit-identical across
-  // all three; only the wall-clock moves.
-  static const game::MatrixGame mg = random_game(64, 64, 4064);
-  const int mode = static_cast<int>(state.range(0));
-  const auto exec = sim::make_executor(mode == 0 ? 1 : 4);
-  game::IterativeConfig cfg{.iterations = 4000};
-  cfg.backend = mode == 2 ? game::IterativeBackend::kTeam
-                          : game::IterativeBackend::kDispatch;
-  runtime::Executor* e = mode == 0 ? nullptr : exec.get();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(game::solve_fictitious_play(mg, cfg, e));
-  }
-  state.counters["backend"] = static_cast<double>(mode);
-}
-BENCHMARK(BM_FictitiousPlayNarrowBackend)->Arg(0)->Arg(1)->Arg(2)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
 // The headline workload of the runtime: the paper's attacker x defender
 // EMPIRICAL payoff grid, one sanitize-and-retrain pipeline run per cell

@@ -16,9 +16,7 @@ AttackerEquilibrium attacker_equilibrium_lp(const PoisoningGame& game,
   PG_CHECK(mass_floor >= 0.0, "mass_floor must be >= 0");
   const auto placements = game.placement_grid(grid);
   const auto mg = game.discretize(grid, grid, executor);
-  // The same executor that filled the payoff grid drives the simplex
-  // solve: end-to-end parallel from payoff build through equilibrium.
-  const auto eq = game::solve_lp_equilibrium(mg, executor);
+  const auto eq = game::solve_lp_equilibrium(mg);
 
   std::vector<double> support;
   std::vector<double> probs;

@@ -5,14 +5,12 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/parallel_reduce.h"
 #include "util/error.h"
 
 namespace pg::game {
 
 namespace {
 constexpr double kEps = 1e-11;
-constexpr std::size_t kPricingGrain = 192;
 }  // namespace
 
 LpPricing parse_lp_pricing(const std::string& name) {
@@ -26,8 +24,7 @@ const char* lp_pricing_name(LpPricing pricing) {
   return pricing == LpPricing::kDantzig ? "dantzig" : "bland";
 }
 
-LpSolution solve_lp(const LpProblem& problem, runtime::Executor* executor,
-                    const LpConfig& config) {
+LpSolution solve_lp(const LpProblem& problem, const LpConfig& config) {
   obs::Span span("simplex", "solver");
   const std::size_t m = problem.a.rows();
   const std::size_t n = problem.a.cols();
@@ -53,7 +50,6 @@ LpSolution solve_lp(const LpProblem& problem, runtime::Executor* executor,
   std::vector<std::size_t> basis(m);
   for (std::size_t i = 0; i < m; ++i) basis[i] = n + i;
 
-  const std::size_t row_grain = runtime::grain_for_cells(cols);
   const double* objective_row = t[m].data();
 
   LpSolution sol;
@@ -64,29 +60,29 @@ LpSolution solve_lp(const LpProblem& problem, runtime::Executor* executor,
   // O(m + n) pivots and never get near it.
   const std::size_t dantzig_budget = 16 * (m + n) + 256;
   for (;;) {
-    // Entering column. Bland: smallest index with negative reduced cost
-    // (the blocked parallel scan returns exactly the serial first hit).
-    // Dantzig: most negative reduced cost, smallest index on exact ties
-    // (parallel_argmin reproduces the serial scan bit for bit).
+    // Entering column. Bland: smallest index with negative reduced cost.
+    // Dantzig: most negative reduced cost, smallest index on exact ties.
     const bool dantzig = config.pricing == LpPricing::kDantzig &&
                          sol.iterations < dantzig_budget;
-    std::size_t enter;
+    std::size_t enter = cols - 1;
     if (dantzig) {
-      const std::size_t best = runtime::parallel_argmin(
-          executor, 0, cols - 1, kPricingGrain,
-          [objective_row](std::size_t j) { return objective_row[j]; });
-      enter = objective_row[best] < -kEps ? best : cols - 1;
+      std::size_t best = 0;
+      for (std::size_t j = 1; j < cols - 1; ++j) {
+        if (objective_row[j] < objective_row[best]) best = j;
+      }
+      if (objective_row[best] < -kEps) enter = best;
     } else {
-      enter = runtime::parallel_find_first(
-          executor, 0, cols - 1, kPricingGrain,
-          [objective_row](std::size_t j) { return objective_row[j] < -kEps; });
+      for (std::size_t j = 0; j < cols - 1; ++j) {
+        if (objective_row[j] < -kEps) {
+          enter = j;
+          break;
+        }
+      }
     }
     if (enter == cols - 1) break;  // optimal
 
     // Leaving row: minimum ratio; ties broken by smallest basis index
-    // (Bland). The running best_ratio is order-dependent through the
-    // epsilon band, so this O(m) fold stays serial -- the pivot cost
-    // lives in the O(m * cols) elimination below.
+    // (Bland).
     std::size_t leave = m;  // sentinel
     double best_ratio = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < m; ++i) {
@@ -106,22 +102,17 @@ LpSolution solve_lp(const LpProblem& problem, runtime::Executor* executor,
     }
 
     // Pivot on (leave, enter): normalize the pivot row, then eliminate the
-    // entering column from every other row. Rows are independent -- each
-    // is updated by the same per-row arithmetic whether it runs inline or
-    // on a worker, so the parallel tableau is bit-identical.
+    // entering column from every other row.
     const double pivot = t[leave][enter];
     for (double& v : t[leave]) v /= pivot;
     const double* pivot_row = t[leave].data();
-    runtime::parallel_for(
-        executor, 0, m + 1, row_grain, [&](std::size_t i) {
-          if (i == leave) return;
-          const double factor = t[i][enter];
-          if (factor == 0.0) return;
-          double* row = t[i].data();
-          for (std::size_t j = 0; j < cols; ++j) {
-            row[j] -= factor * pivot_row[j];
-          }
-        });
+    for (std::size_t i = 0; i <= m; ++i) {
+      if (i == leave) continue;
+      const double factor = t[i][enter];
+      if (factor == 0.0) continue;
+      double* row = t[i].data();
+      for (std::size_t j = 0; j < cols; ++j) row[j] -= factor * pivot_row[j];
+    }
     basis[leave] = enter;
 
     ++sol.iterations;

@@ -9,12 +9,6 @@
 // Bland's anti-cycling rule guarantees termination. The dual solution is
 // recovered from the reduced costs of the slack columns, which is how one
 // simplex solve yields BOTH players' equilibrium strategies.
-//
-// Passing an Executor parallelizes each pivot's inner loops -- the
-// Bland pricing scan over columns and the row elimination -- with results
-// bit-identical to the serial solve at any thread count: the pricing
-// reduction is an exact smallest-index fold and every eliminated row is
-// updated by the same per-row arithmetic regardless of scheduling.
 #pragma once
 
 #include <cstddef>
@@ -22,10 +16,6 @@
 #include <vector>
 
 #include "la/matrix.h"
-
-namespace pg::runtime {
-class Executor;
-}
 
 namespace pg::game {
 
@@ -41,8 +31,7 @@ enum class LpPricing {
   /// ties), which usually takes far fewer pivots. Dantzig alone can cycle
   /// on degenerate problems, so the solver deterministically switches to
   /// Bland once the pivot count passes a problem-sized threshold -- the
-  /// classic hybrid that keeps both speed and termination. Both rules are
-  /// bit-deterministic at any thread count (exact chunked reductions).
+  /// classic hybrid that keeps both speed and termination.
   kDantzig,
 };
 
@@ -61,8 +50,7 @@ struct LpSolution {
   std::vector<double> x;     // primal solution (size = #variables)
   std::vector<double> dual;  // dual prices, one per constraint
   /// Number of simplex pivots performed. 0 when the all-slack basis is
-  /// already optimal; identical for serial and parallel solves (both walk
-  /// the same pivot sequence).
+  /// already optimal.
   std::size_t iterations = 0;
 };
 
@@ -73,10 +61,8 @@ struct LpProblem {
 };
 
 /// Solve the LP. Throws std::invalid_argument on malformed input
-/// (dimension mismatch or negative b). `executor` (null -> serial)
-/// parallelizes the per-pivot pricing scan and row elimination.
+/// (dimension mismatch or negative b).
 [[nodiscard]] LpSolution solve_lp(const LpProblem& problem,
-                                  runtime::Executor* executor = nullptr,
                                   const LpConfig& config = {});
 
 }  // namespace pg::game

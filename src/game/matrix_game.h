@@ -14,10 +14,6 @@
 
 #include "la/matrix.h"
 
-namespace pg::runtime {
-class Executor;
-}
-
 namespace pg::game {
 
 /// A mixed strategy: a probability vector over pure actions.
@@ -50,18 +46,16 @@ class MatrixGame {
   [[nodiscard]] double expected_payoff(const MixedStrategy& row_strategy,
                                        const MixedStrategy& col_strategy) const;
 
-  /// Expected payoff of each pure row against the column mixture q.
-  /// `executor` (null -> serial) parallelizes the per-row dot products;
-  /// each entry accumulates in the same index order either way, so the
-  /// result is bit-identical at any thread count.
+  /// Expected payoff of each pure row against the column mixture q
+  /// (A q through la::Matrix::matvec; each entry sums j-ascending).
   [[nodiscard]] std::vector<double> row_payoffs(
-      const MixedStrategy& col_strategy,
-      runtime::Executor* executor = nullptr) const;
+      const MixedStrategy& col_strategy) const;
 
-  /// Expected payoff of each pure column against the row mixture p.
+  /// Expected payoff of each pure column against the row mixture p
+  /// (A^T p through la::Matrix::matvec_transposed; each entry sums
+  /// i-ascending).
   [[nodiscard]] std::vector<double> col_payoffs(
-      const MixedStrategy& row_strategy,
-      runtime::Executor* executor = nullptr) const;
+      const MixedStrategy& row_strategy) const;
 
   /// max_i min_j and min_j max_i of the payoff matrix (pure security
   /// levels). A pure saddle point exists iff they are equal.

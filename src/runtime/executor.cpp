@@ -71,8 +71,6 @@ void finish_chunk(const std::shared_ptr<LoopState>& state) {
 
 }  // namespace
 
-bool on_pool_worker() noexcept { return tls_depth > 0; }
-
 void ThreadPoolExecutor::dispatch(std::size_t begin, std::size_t end,
                                   std::size_t grain, std::size_t chunks,
                                   const std::function<void(std::size_t)>& fn) {

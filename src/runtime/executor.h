@@ -15,7 +15,7 @@
 //
 // NESTED SCHEDULING: parallel_for called from inside one of the pool's
 // own tasks runs inline (the cheap, always-safe choice for fine-grained
-// solver loops). parallel_for_nested instead dispatches its chunks onto
+// loops). parallel_for_nested instead dispatches its chunks onto
 // the SAME work-stealing pool even from a worker thread: the chunks are
 // depth-tagged one level below the caller, the caller runs the first
 // chunk itself and help-drains tasks at least that deep while joining,
@@ -87,7 +87,7 @@ class SerialExecutor final : public Executor {
 /// Dispatches chunks onto a fixed-size work-stealing ThreadPool owned by
 /// the executor. The calling thread participates: it runs the first chunk
 /// itself and helps drain queued chunks while waiting, so even a two-chunk
-/// loop (e.g. one solver iteration's row scan + column scan) overlaps.
+/// loop overlaps.
 /// Reentrancy-safe: a parallel_for issued from inside one of this
 /// executor's own loop bodies runs inline on the calling worker instead
 /// of deadlocking on the saturated pool; parallel_for_nested dispatches
@@ -116,13 +116,6 @@ class ThreadPoolExecutor final : public Executor {
 
   ThreadPool pool_;
 };
-
-/// True when the calling thread is currently executing a task scheduled
-/// by some ThreadPoolExecutor (a sweep point, a payoff cell, a solver
-/// chunk). Long-lived helpers that spawn their own threads -- notably
-/// PersistentTeam -- consult this to avoid oversubscribing from inside an
-/// already-parallel region.
-[[nodiscard]] bool on_pool_worker() noexcept;
 
 /// Process-wide shared SerialExecutor (the null-executor fallback).
 [[nodiscard]] Executor& serial_executor() noexcept;

@@ -10,8 +10,8 @@ namespace pg::runtime {
 
 namespace {
 /// How many yield rounds a worker polls the deques before sleeping on the
-/// condition variable. Solver loops issue one parallel_for per iteration,
-/// microseconds apart; a short spin keeps workers hot across that gap
+/// condition variable. Algorithm 1 issues one parallel_for of gradient
+/// probes per iteration, microseconds apart; a short spin keeps workers hot across that gap
 /// without burning meaningful CPU when the pool is genuinely idle.
 constexpr int kSpinRounds = 64;
 

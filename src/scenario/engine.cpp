@@ -422,7 +422,7 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
         game_model.discretize(spec.solver_grid, spec.solver_grid, exec);
     {
       util::Stopwatch w;
-      const auto eq = game::solve_lp_equilibrium(mg, exec, lp);
+      const auto eq = game::solve_lp_equilibrium(mg, nullptr, lp);
       table.add_row({std::string("simplex_lp_") + spec.lp_pricing, eq.value,
                      game::exploitability(mg, eq.row_strategy, eq.col_strategy),
                      w.elapsed_ms()});
@@ -431,10 +431,8 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
       util::Stopwatch w;
       game::ConvergenceTrace trace;
       const auto eq = game::solve_fictitious_play(
-          mg,
-          {.iterations = spec.solver_iterations,
-           .trace = convergence ? &trace : nullptr},
-          exec);
+          mg, {.iterations = spec.solver_iterations,
+               .trace = convergence ? &trace : nullptr});
       table.add_row({"fictitious_play", eq.value,
                      game::exploitability(mg, eq.row_strategy, eq.col_strategy),
                      w.elapsed_ms()});
@@ -444,10 +442,8 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
       util::Stopwatch w;
       game::ConvergenceTrace trace;
       const auto eq = game::solve_multiplicative_weights(
-          mg,
-          {.iterations = spec.solver_iterations,
-           .trace = convergence ? &trace : nullptr},
-          exec);
+          mg, {.iterations = spec.solver_iterations,
+               .trace = convergence ? &trace : nullptr});
       table.add_row({"multiplicative_weights", eq.value,
                      game::exploitability(mg, eq.row_strategy, eq.col_strategy),
                      w.elapsed_ms()});
@@ -658,131 +654,9 @@ void run_defense_ablation_scenario(const ScenarioSpec& spec,
   bundle.add_cells(retrained.load(), hits.load());
 }
 
-// --------------------------------------------------------- solver_parallel
-// Serial vs executor-parallel solves with
-// the bit-identity assertion.
-game::MatrixGame random_game(std::size_t m, std::size_t n,
-                             std::uint64_t seed) {
-  util::Rng rng(seed);
-  la::Matrix a(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      a(i, j) = rng.uniform(-5.0, 5.0);
-    }
-  }
-  return game::MatrixGame(std::move(a));
-}
-
-void check_identical(const game::Equilibrium& serial,
-                     const game::Equilibrium& parallel) {
-  PG_ASSERT(serial.value == parallel.value,
-            "parallel solver broke bit-identity (value)");
-  PG_ASSERT(serial.row_strategy == parallel.row_strategy,
-            "parallel solver broke bit-identity (row strategy)");
-  PG_ASSERT(serial.col_strategy == parallel.col_strategy,
-            "parallel solver broke bit-identity (col strategy)");
-}
-
-void run_solver_parallel_scenario(const ScenarioSpec& spec,
-                                  runtime::Executor* exec,
-                                  CacheBundle& bundle,
-                                  ScenarioResult& result) {
-  (void)bundle;
-  PG_CHECK(spec.timing_reps >= 1, "timing_reps must be >= 1");
-  ResultTable table{"speedups",
-                    {"solver", "rows", "cols", "serial_ms", "parallel_ms",
-                     "speedup_vs_serial"},
-                    {}};
-
-  const auto time_solver = [&](ResultTable& out, const std::string& name,
-                               std::size_t size, const game::MatrixGame& g,
-                               const auto& solve) {
-    game::Equilibrium serial_eq;
-    double serial_best = 1e300;
-    for (std::size_t r = 0; r < spec.timing_reps; ++r) {
-      util::Stopwatch w;
-      serial_eq = solve(g, static_cast<runtime::Executor*>(nullptr));
-      serial_best = std::min(serial_best, w.elapsed_ms());
-    }
-    game::Equilibrium parallel_eq;
-    double parallel_best = 1e300;
-    for (std::size_t r = 0; r < spec.timing_reps; ++r) {
-      util::Stopwatch w;
-      parallel_eq = solve(g, exec);
-      parallel_best = std::min(parallel_best, w.elapsed_ms());
-    }
-    check_identical(serial_eq, parallel_eq);
-    out.add_row({name, size, size, serial_best, parallel_best,
-                 serial_best / parallel_best});
-  };
-
-  const game::LpConfig lp{game::parse_lp_pricing(spec.lp_pricing)};
-  for (const std::size_t size : parse_size_list(spec.lp_sizes)) {
-    const auto g = random_game(size, size, 1000 + size);
-    time_solver(table, "simplex_lp", size, g,
-                [&lp](const game::MatrixGame& mg, runtime::Executor* e) {
-                  return game::solve_lp_equilibrium(mg, e, lp);
-                });
-  }
-  const game::IterativeConfig fp_cfg{.iterations = 3000};
-  for (const std::size_t size : parse_size_list(spec.fp_sizes)) {
-    const auto g = random_game(size, size, 2000 + size);
-    time_solver(table, "fictitious_play", size, g,
-                [&fp_cfg](const game::MatrixGame& mg, runtime::Executor* e) {
-                  return game::solve_fictitious_play(mg, fp_cfg, e);
-                });
-  }
-  result.tables.push_back(std::move(table));
-
-  // Narrow-game persistent-team trajectory: the sizes where the old
-  // per-iteration fork-join LOST to dispatch overhead, measured three
-  // ways -- serial, forced fork-join dispatch, forced resident team --
-  // so the table shows both the absolute speedup and the team's win over
-  // the path it retires (speedup_team_vs_dispatch). A separate table
-  // behind an opt-in spec key keeps the pre-team golden baselines
-  // byte-stable.
-  const auto narrow_sizes = parse_size_list(spec.fp_narrow_sizes);
-  if (!narrow_sizes.empty()) {
-    ResultTable narrow{"fp_narrow",
-                       {"solver", "rows", "cols", "serial_ms", "dispatch_ms",
-                        "team_ms", "speedup_vs_serial",
-                        "speedup_team_vs_dispatch"},
-                       {}};
-    const auto timed = [&](const game::MatrixGame& g,
-                           const game::IterativeConfig& cfg,
-                           runtime::Executor* e, game::Equilibrium& eq) {
-      double best = 1e300;
-      for (std::size_t r = 0; r < spec.timing_reps; ++r) {
-        util::Stopwatch w;
-        eq = game::solve_fictitious_play(g, cfg, e);
-        best = std::min(best, w.elapsed_ms());
-      }
-      return best;
-    };
-    for (const std::size_t size : narrow_sizes) {
-      const auto g = random_game(size, size, 4000 + size);
-      game::IterativeConfig cfg{.iterations = 6000};
-      game::Equilibrium serial_eq;
-      game::Equilibrium dispatch_eq;
-      game::Equilibrium team_eq;
-      const double serial_ms = timed(g, cfg, nullptr, serial_eq);
-      cfg.backend = game::IterativeBackend::kDispatch;
-      const double dispatch_ms = timed(g, cfg, exec, dispatch_eq);
-      cfg.backend = game::IterativeBackend::kTeam;
-      const double team_ms = timed(g, cfg, exec, team_eq);
-      check_identical(serial_eq, dispatch_eq);
-      check_identical(serial_eq, team_eq);
-      narrow.add_row({"fictitious_play", size, size, serial_ms, dispatch_ms,
-                      team_ms, serial_ms / team_ms, dispatch_ms / team_ms});
-    }
-    result.tables.push_back(std::move(narrow));
-  }
-  result.add_metric("bit_identical_to_serial", std::size_t{1});
-}
-
 // ------------------------------------------------------------------ micro
 // Engine-native micro kernels (the subset of bench_micro that does not
-// need the google-benchmark harness): grid fill and solver speedups.
+// need the google-benchmark harness): the parallel payoff grid fill.
 void run_micro_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
                         CacheBundle& bundle, ScenarioResult& result) {
   (void)bundle;
@@ -814,32 +688,6 @@ void run_micro_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
     PG_ASSERT(serial_grid.data() == parallel_grid.data(),
               "parallel payoff grid broke bit-identity");
     table.add_row({"discretize_256", serial_ms, parallel_ms,
-                   serial_ms / parallel_ms});
-  }
-  {
-    const game::LpConfig lp{game::parse_lp_pricing(spec.lp_pricing)};
-    const auto g = random_game(192, 192, 1192);
-    game::Equilibrium serial_eq;
-    game::Equilibrium parallel_eq;
-    const double serial_ms =
-        timed([&] { serial_eq = game::solve_lp_equilibrium(g, nullptr, lp); });
-    const double parallel_ms =
-        timed([&] { parallel_eq = game::solve_lp_equilibrium(g, exec, lp); });
-    check_identical(serial_eq, parallel_eq);
-    table.add_row({"solve_lp_192", serial_ms, parallel_ms,
-                   serial_ms / parallel_ms});
-  }
-  {
-    const auto g = random_game(512, 512, 2512);
-    const game::IterativeConfig cfg{.iterations = 2000};
-    game::Equilibrium serial_eq;
-    game::Equilibrium parallel_eq;
-    const double serial_ms = timed(
-        [&] { serial_eq = game::solve_fictitious_play(g, cfg, nullptr); });
-    const double parallel_ms =
-        timed([&] { parallel_eq = game::solve_fictitious_play(g, cfg, exec); });
-    check_identical(serial_eq, parallel_eq);
-    table.add_row({"fictitious_play_512", serial_ms, parallel_ms,
                    serial_ms / parallel_ms});
   }
   result.tables.push_back(std::move(table));
@@ -1064,7 +912,6 @@ RunnerFn runner_for(const std::string& kind) {
   if (kind == "transfer") return &run_transfer_scenario;
   if (kind == "solver_ablation") return &run_solver_ablation_scenario;
   if (kind == "defense_ablation") return &run_defense_ablation_scenario;
-  if (kind == "solver_parallel") return &run_solver_parallel_scenario;
   if (kind == "micro") return &run_micro_scenario;
   if (kind == "serve_metrics") return &run_serve_metrics_scenario;
   PG_CHECK(false, "unknown scenario kind: " + kind);

@@ -111,8 +111,6 @@ const std::vector<Field>& field_table() {
       PG_SPEC_FIELD(solver_iterations),
       PG_SPEC_FIELD(lp_pricing),
       PG_SPEC_FIELD(lp_sizes),
-      PG_SPEC_FIELD(fp_sizes),
-      PG_SPEC_FIELD(fp_narrow_sizes),
       PG_SPEC_FIELD(timing_reps),
       PG_SPEC_FIELD(threads),
       PG_SPEC_FIELD(use_cache),

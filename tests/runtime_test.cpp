@@ -22,10 +22,8 @@
 #include "core/equilibrium.h"
 #include "core/game_model.h"
 #include "runtime/executor.h"
-#include "runtime/parallel_reduce.h"
 #include "runtime/payoff_disk_cache.h"
 #include "runtime/payoff_evaluator.h"
-#include "runtime/persistent_team.h"
 #include "runtime/rng_stream.h"
 #include "runtime/task_group.h"
 #include "runtime/thread_pool.h"
@@ -202,62 +200,6 @@ TEST(ExecutorTest, CallerChunkExceptionPropagates) {
   std::atomic<int> count{0};
   exec.parallel_for(0, 16, 1, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 16) << "executor must stay usable after a failure";
-}
-
-// ------------------------------------------------------ parallel_reduce.h
-
-TEST(ParallelReduceTest, ArgmaxMatchesMaxElementAcrossGrainsAndThreads) {
-  // Values with duplicates: the first-index tie-break must survive every
-  // chunking and thread count.
-  std::vector<double> v = {1.0, 7.0, 3.0, 7.0, -2.0, 7.0, 0.5, 6.0,
-                           7.0, 2.0, -1.0, 4.0, 7.0, 3.5, 0.0};
-  const auto serial_idx = static_cast<std::size_t>(
-      std::max_element(v.begin(), v.end()) - v.begin());
-  runtime::ThreadPoolExecutor pool4(4);
-  for (runtime::Executor* exec :
-       {static_cast<runtime::Executor*>(nullptr),
-        static_cast<runtime::Executor*>(&pool4)}) {
-    for (std::size_t grain : {std::size_t{1}, std::size_t{3}, std::size_t{7},
-                              std::size_t{64}}) {
-      EXPECT_EQ(runtime::parallel_argmax(exec, 0, v.size(), grain,
-                                         [&](std::size_t i) { return v[i]; }),
-                serial_idx)
-          << "grain " << grain;
-      EXPECT_EQ(runtime::parallel_argmin(exec, 0, v.size(), grain,
-                                         [&](std::size_t i) { return v[i]; }),
-                4u)
-          << "grain " << grain;
-    }
-  }
-}
-
-TEST(ParallelReduceTest, FindFirstMatchesSerialScan) {
-  runtime::ThreadPoolExecutor exec(4);
-  for (std::size_t hit : {std::size_t{0}, std::size_t{5}, std::size_t{63},
-                          std::size_t{64}}) {  // 64 == end: no hit
-    for (std::size_t grain : {std::size_t{1}, std::size_t{5},
-                              std::size_t{16}}) {
-      const std::size_t found = runtime::parallel_find_first(
-          &exec, 0, 64, grain, [&](std::size_t i) { return i >= hit; });
-      EXPECT_EQ(found, hit) << "hit " << hit << " grain " << grain;
-    }
-  }
-  EXPECT_EQ(runtime::parallel_find_first(&exec, 0, 64, 8,
-                                         [](std::size_t) { return false; }),
-            64u);
-}
-
-TEST(ParallelReduceTest, ChunkedReduceExceptionPropagates) {
-  runtime::ThreadPoolExecutor exec(4);
-  EXPECT_THROW(
-      (void)runtime::chunked_reduce<double>(
-          &exec, 0, 100, 10,
-          [](std::size_t lo, std::size_t) -> double {
-            if (lo == 50) throw std::runtime_error("map failure");
-            return 1.0;
-          },
-          [](double a, double b) { return a + b; }),
-      std::runtime_error);
 }
 
 TEST(ExecutorTest, NullExecutorResolvesToSerial) {
@@ -833,61 +775,6 @@ TEST(TaskGroupTest, GroupsNestInsidePoolTasksWithoutDeadlock) {
   }
   outer.wait();
   EXPECT_EQ(inner_total.load(), 36);
-}
-
-// ------------------------------------------------------ persistent_team.h
-
-TEST(PersistentTeamTest, RunsEveryRankOncePerGeneration) {
-  runtime::PersistentTeam team(4);
-  ASSERT_EQ(team.size(), 4u);
-  std::vector<std::atomic<int>> rank_counts(4);
-  const std::function<void(std::size_t)> job = [&](std::size_t rank) {
-    rank_counts[rank].fetch_add(1, std::memory_order_relaxed);
-  };
-  constexpr int kIterations = 200;
-  for (int t = 0; t < kIterations; ++t) team.run(job);
-  for (std::size_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(rank_counts[r].load(), kIterations) << "rank " << r;
-  }
-}
-
-TEST(PersistentTeamTest, TeamOfOneRunsInline) {
-  runtime::PersistentTeam team(1);
-  int count = 0;
-  team.run([&count](std::size_t rank) {
-    EXPECT_EQ(rank, 0u);
-    ++count;
-  });
-  EXPECT_EQ(count, 1);
-}
-
-TEST(PersistentTeamTest, BarrierPublishesWorkerWritesToCaller) {
-  // Each rank writes a disjoint slice; after run() returns, the caller
-  // must observe every write (the barrier is the synchronization point).
-  runtime::PersistentTeam team(4);
-  std::vector<double> slots(64, 0.0);
-  const std::function<void(std::size_t)> job = [&](std::size_t rank) {
-    for (std::size_t i = rank; i < slots.size(); i += team.size()) {
-      slots[i] += static_cast<double>(i);
-    }
-  };
-  constexpr int kIterations = 100;
-  for (int t = 0; t < kIterations; ++t) team.run(job);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    EXPECT_EQ(slots[i], static_cast<double>(i * kIterations)) << "slot " << i;
-  }
-}
-
-TEST(PersistentTeamTest, ExceptionFromAnyRankRethrowsAndTeamSurvives) {
-  runtime::PersistentTeam team(3);
-  EXPECT_THROW(team.run([](std::size_t rank) {
-    if (rank == 1) throw std::runtime_error("rank 1");
-  }),
-               std::runtime_error);
-  // The barrier completed despite the throw; the team keeps working.
-  std::atomic<int> count{0};
-  team.run([&count](std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 3);
 }
 
 }  // namespace

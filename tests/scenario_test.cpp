@@ -112,7 +112,7 @@ TEST(RegistryTest, ListsEveryLegacyScenario) {
   EXPECT_GE(registry.entries().size(), 8u);
   for (const char* name :
        {"fig1", "table1", "prop1", "nsweep", "transfer", "solver_ablation",
-        "defense_ablation", "solver_parallel", "micro"}) {
+        "defense_ablation", "micro"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
     const ScenarioSpec spec = registry.make(name);
     EXPECT_EQ(spec.name, name);
@@ -803,43 +803,6 @@ TEST(EngineTest, AggregateValidationFailsLoudly) {
   ScenarioSpec no_grid = tiny_spec("pure_sweep");
   no_grid.aggregate = "seed";  // no sweep clauses at all
   EXPECT_THROW((void)run_scenario(no_grid), std::invalid_argument);
-}
-
-TEST(EngineTest, SolverParallelNarrowTableComparesBackends) {
-  ScenarioSpec spec = tiny_spec("solver_parallel");
-  spec.kind = "solver_parallel";
-  spec.lp_sizes = "16";
-  spec.fp_sizes = "24";
-  spec.fp_narrow_sizes = "12,20";
-  spec.timing_reps = 1;
-  spec.threads = 2;
-  const ScenarioResult result = run_scenario(spec);
-  const ResultTable* narrow = nullptr;
-  for (const ResultTable& t : result.tables) {
-    if (t.name == "fp_narrow") narrow = &t;
-  }
-  ASSERT_NE(narrow, nullptr) << "fp_narrow_sizes must add the table";
-  EXPECT_EQ(narrow->columns,
-            (std::vector<std::string>{"solver", "rows", "cols", "serial_ms",
-                                      "dispatch_ms", "team_ms",
-                                      "speedup_vs_serial",
-                                      "speedup_team_vs_dispatch"}));
-  ASSERT_EQ(narrow->rows.size(), 2u);
-  for (const auto& row : narrow->rows) {
-    // Timings are machine-dependent; what the schema guarantees is that
-    // every backend ran (positive times) and the ratios are recorded.
-    EXPECT_GT(row[3].number(), 0.0);
-    EXPECT_GT(row[4].number(), 0.0);
-    EXPECT_GT(row[5].number(), 0.0);
-    EXPECT_GT(row[6].number(), 0.0);
-    EXPECT_GT(row[7].number(), 0.0);
-  }
-  // Default-off: no table without the spec key (golden baselines).
-  spec.fp_narrow_sizes = "";
-  const ScenarioResult bare = run_scenario(spec);
-  for (const ResultTable& t : bare.tables) {
-    EXPECT_NE(t.name, "fp_narrow");
-  }
 }
 
 // ------------------------------------------------------------------ diff

@@ -137,8 +137,6 @@ scenario::ScenarioSpec shrink(scenario::ScenarioSpec spec) {
   spec.set("solver_grid", "24");
   spec.set("solver_iterations", "200");
   spec.set("lp_sizes", "24");
-  spec.set("fp_sizes", "24");
-  spec.set("fp_narrow_sizes", "");
   spec.set("timing_reps", "1");
   spec.set("real_corpus", "false");
   return spec;
