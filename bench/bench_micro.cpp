@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the library's hot paths: SVM
-// training, attack generation, sanitization filters, the simplex solver,
-// Algorithm 1, and the core kernels they sit on.
+// training, attack generation, sanitization filters, the simplex and
+// Hedge solvers, Algorithm 1, and the core kernels they sit on.
 //
 // This is the one bench that keeps its own harness (google-benchmark owns
 // main and the timing loop); the registered "micro" scenario
@@ -70,6 +70,17 @@ void BM_Matvec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Matvec)->Arg(1000);
+
+void BM_MatvecTransposed(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  la::Matrix m(n, n, 0.5);
+  la::Vector x(n, 1.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m.matvec_transposed(x));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0) * state.range(0));
+}
+BENCHMARK(BM_MatvecTransposed)->Arg(256);
 
 void BM_SynthesizeCorpus(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -168,6 +179,19 @@ void BM_FictitiousPlay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FictitiousPlay)->Unit(benchmark::kMillisecond);
+
+void BM_MultiplicativeWeights(benchmark::State& state) {
+  const auto curves = core::PayoffCurves::analytic(0.002, 5.0, 0.06, 1.4);
+  const core::PoisoningGame game(curves, 100);
+  const auto grid = static_cast<std::size_t>(state.range(0));
+  const auto mg = game.discretize(grid, grid);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        game::solve_multiplicative_weights(mg, {.iterations = 2000}));
+  }
+}
+BENCHMARK(BM_MultiplicativeWeights)->Arg(128)->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Algorithm1(benchmark::State& state) {
   const auto curves = core::PayoffCurves::analytic(0.002, 5.0, 0.06, 1.4);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "runtime/executor.h"
 #include "util/error.h"
 
 namespace pg::core {
@@ -96,7 +95,7 @@ std::vector<double> choose_initial_support(const PoisoningGame& game,
 
 DefenseSolution compute_optimal_defense(const PoisoningGame& game,
                                         const Algorithm1Config& config,
-                                        runtime::Executor* executor) {
+                                        runtime::Executor* /*ignored*/) {
   PG_CHECK(config.support_size >= 1, "support_size must be >= 1");
   PG_CHECK(config.epsilon > 0.0, "epsilon must be > 0");
   PG_CHECK(config.learning_rate > 0.0, "learning_rate must be > 0");
@@ -122,24 +121,19 @@ DefenseSolution compute_optimal_defense(const PoisoningGame& game,
   sol.trace.push_back(f_prev);
 
   for (std::size_t it = 0; it < config.max_iterations; ++it) {
-    // Finite-difference gradient d f / d S_r. Each support point's two
-    // probes depend only on the (shared, read-only) support, so the
-    // per-point loop runs on the executor with a bit-identical result.
-    // Supports are tiny (2-5 points) and a probe costs only a couple of
-    // curve evaluations, so cap the split at two chunks: one dispatch per
-    // iteration at most, instead of one per support point.
+    // Finite-difference gradient d f / d S_r: two objective probes per
+    // support point. Serial, because an executor dispatch costs more than
+    // the 2-5 points' probes.
     std::vector<double> grad(support.size(), 0.0);
-    const std::size_t fd_grain = (support.size() + 1) / 2;
-    runtime::parallel_for(executor, 0, support.size(), fd_grain,
-                          [&](std::size_t i) {
+    for (std::size_t i = 0; i < support.size(); ++i) {
       std::vector<double> plus = support;
       std::vector<double> minus = support;
       plus[i] = std::min(plus[i] + config.fd_step, hi);
       minus[i] = std::max(minus[i] - config.fd_step, config.min_gap * 0.5);
       const double denom = plus[i] - minus[i];
-      if (denom <= 0.0) return;
+      if (denom <= 0.0) continue;
       grad[i] = (objective(plus) - objective(minus)) / denom;
-                          });
+    }
 
     // Descent step with projection (the paper's S_r <- S_r - grad(f)).
     for (std::size_t i = 0; i < support.size(); ++i) {

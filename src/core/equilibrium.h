@@ -84,12 +84,12 @@ struct DefenseSolution {
     const PoisoningGame& game, std::size_t n, double damage_floor = 1e-6);
 
 /// Algorithm 1. Requires support_size >= 1 (1 degenerates to the best pure
-/// strategy, used as the benchmark). `executor` (null -> serial)
-/// parallelizes the per-iteration finite-difference gradient: each support
-/// point's two objective probes are a pure function of the support, so the
-/// parallel descent trajectory is bit-identical to the serial one.
+/// strategy, used as the benchmark). Runs serially: each iteration's
+/// finite-difference gradient is 2-5 support points of two cheap objective
+/// probes each, too little work to pay for a dispatch. The executor is
+/// accepted and ignored.
 [[nodiscard]] DefenseSolution compute_optimal_defense(
     const PoisoningGame& game, const Algorithm1Config& config = {},
-    runtime::Executor* executor = nullptr);
+    runtime::Executor* /*ignored*/ = nullptr);
 
 }  // namespace pg::core

@@ -166,27 +166,35 @@ Equilibrium solve_multiplicative_weights(const MatrixGame& game,
   std::vector<double> row_avg(m, 0.0);
   std::vector<double> col_avg(n, 0.0);
 
-  auto softmax = [](const std::vector<double>& logw) {
+  // Softmax into a caller-owned buffer, reused across iterations.
+  auto softmax = [](const std::vector<double>& logw,
+                    std::vector<double>& out) {
     const double mx = *std::max_element(logw.begin(), logw.end());
-    std::vector<double> p(logw.size());
     double total = 0.0;
     for (std::size_t i = 0; i < logw.size(); ++i) {
-      p[i] = std::exp(logw[i] - mx);
-      total += p[i];
+      out[i] = std::exp(logw[i] - mx);
+      total += out[i];
     }
-    for (double& v : p) v /= total;
-    return p;
+    for (double& v : out) v /= total;
   };
+  std::vector<double> p(m);
+  std::vector<double> q(n);
+
+  // The row half of every Hedge step reads the transpose: entry i of
+  // payoff_t.matvec_transposed(q) is the same j-ascending chain as
+  // payoff.matvec(q)'s (bit-identical), but the chains run in contiguous
+  // lanes and vectorize, where matvec's one-chain-per-row cannot.
+  const la::Matrix payoff_t = payoff.transposed();
 
   for (std::size_t t = 0; t < config.iterations; ++t) {
-    const std::vector<double> p = softmax(row_logw);
-    const std::vector<double> q = softmax(col_logw);
+    softmax(row_logw, p);
+    softmax(col_logw, q);
     for (std::size_t i = 0; i < m; ++i) row_avg[i] += p[i];
     for (std::size_t j = 0; j < n; ++j) col_avg[j] += q[j];
 
     // The O(m*n) cost of every Hedge step: row wants high, col wants low.
-    const std::vector<double> row_pay = game.row_payoffs(q);
-    const std::vector<double> col_pay = game.col_payoffs(p);
+    const std::vector<double> row_pay = payoff_t.matvec_transposed(q);
+    const std::vector<double> col_pay = payoff.matvec_transposed(p);
     for (std::size_t i = 0; i < m; ++i) {
       row_logw[i] += eta_row * (row_pay[i] - lo) / range;
     }

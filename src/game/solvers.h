@@ -11,8 +11,8 @@
 // All three are plain serial loops. Each still takes a
 // runtime::Executor* that it accepts and ignores, because the performance
 // ledger's solve workload (perfledger/src/solve.cpp) passes one. The
-// executor parallelizes payoff grids (core::PoisoningGame::discretize),
-// Algorithm 1's probes and the sweeps, not the solvers.
+// executor parallelizes payoff grids (core::PoisoningGame::discretize) and
+// the sweeps, not the solvers.
 #pragma once
 
 #include <cstddef>
@@ -81,6 +81,9 @@ struct IterativeConfig {
     runtime::Executor* /*ignored*/ = nullptr);
 
 /// Multiplicative-weights (Hedge) self-play; returns averaged strategies.
+/// Both payoff products of each step run through
+/// la::Matrix::matvec_transposed, the row half on a transposed copy of the
+/// payoff matrix built once per call (bit-identical to game.row_payoffs).
 /// The executor is ignored.
 [[nodiscard]] Equilibrium solve_multiplicative_weights(
     const MatrixGame& game, const IterativeConfig& config = {},

@@ -66,15 +66,21 @@ void Matrix::append_row(const Vector& v) {
 }
 
 // Kernel policy (see also vector_ops.cpp): each output element keeps its
-// serial left-to-right accumulation order -- the bit-stability contract
-// every payoff grid and golden baseline rides on -- so the speed comes
-// from restructuring AROUND the chains, never from reassociating them:
-// matvec processes four rows per pass (four independent accumulator
-// chains hide the FP add latency; each row's own order is untouched),
-// and matvec_transposed walks the matrix in column blocks sized to keep
-// the output slice resident in L1 across all rows (per-column order is
-// still row-ascending, so the blocked result is bit-identical to the
-// naive loop). tests/la_test.cpp checks both against the naive loops.
+// serial accumulation order -- the bit-stability contract every payoff
+// grid and golden baseline rides on -- so the speed comes from
+// restructuring AROUND the chains, never from reassociating them.
+// matvec processes four rows per pass: four independent accumulator
+// chains hide the FP add latency, and each row's own column-ascending
+// order is untouched. matvec_transposed walks the matrix in column blocks
+// sized to keep the output slice resident in L1, and within a block adds
+// four rows per pass into a register, so each output is loaded and stored
+// once per four rows. Per-column order stays row-ascending, so the result is
+// bit-identical to the naive loop, and because the chains sit in
+// contiguous lanes the column loop vectorizes at the baseline ISA. That
+// makes `a.transposed().matvec_transposed(x)` a vectorized, bit-identical
+// stand-in for `a.matvec(x)` when the transpose is reused across many
+// products (the Hedge step does this). tests/la_test.cpp checks both
+// kernels against the naive loops and that identity.
 namespace {
 /// Column-block width for matvec_transposed: 512 doubles = 4 KiB of
 /// output accumulators, comfortably L1-resident alongside the row being
@@ -119,12 +125,32 @@ Vector Matrix::matvec_transposed(const Vector& x) const {
   PG_CHECK(x.size() == rows_, "matvec_transposed: size mismatch");
   Vector out(cols_, 0.0);
   const double* base = data_.data();
+  const double* px = x.data();
   double* po = out.data();
   for (std::size_t c0 = 0; c0 < cols_; c0 += kColBlock) {
     const std::size_t c1 = c0 + kColBlock < cols_ ? c0 + kColBlock : cols_;
-    for (std::size_t r = 0; r < rows_; ++r) {
+    std::size_t r = 0;
+    for (; r + 4 <= rows_; r += 4) {
+      const double* r0 = base + r * cols_;
+      const double* r1 = r0 + cols_;
+      const double* r2 = r1 + cols_;
+      const double* r3 = r2 + cols_;
+      const double x0 = px[r];
+      const double x1 = px[r + 1];
+      const double x2 = px[r + 2];
+      const double x3 = px[r + 3];
+      for (std::size_t c = c0; c < c1; ++c) {
+        double s = po[c];
+        s += r0[c] * x0;
+        s += r1[c] * x1;
+        s += r2[c] * x2;
+        s += r3[c] * x3;
+        po[c] = s;
+      }
+    }
+    for (; r < rows_; ++r) {
       const double* row_ptr = base + r * cols_;
-      const double xr = x[r];
+      const double xr = px[r];
       for (std::size_t c = c0; c < c1; ++c) po[c] += row_ptr[c] * xr;
     }
   }

@@ -10,9 +10,10 @@ namespace pg::runtime {
 
 namespace {
 /// How many yield rounds a worker polls the deques before sleeping on the
-/// condition variable. Algorithm 1 issues one parallel_for of gradient
-/// probes per iteration, microseconds apart; a short spin keeps workers hot across that gap
-/// without burning meaningful CPU when the pool is genuinely idle.
+/// condition variable. Fork-join callers (payoff grids, sweeps) often
+/// run parallel_for calls back to back; a short spin keeps workers hot
+/// across that gap without burning meaningful CPU when the pool is
+/// genuinely idle.
 constexpr int kSpinRounds = 64;
 
 /// Static span name per task nesting depth: depth is almost always 1 or

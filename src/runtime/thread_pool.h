@@ -12,12 +12,11 @@
 // workers' deques, so a burst of heterogeneous tasks -- cheap closed-form
 // cells next to retrain-priced ones -- cannot strand work behind one slow
 // worker. A thread blocked on completion can help through try_run_one()
-// instead of sleeping. Workers spin briefly before sleeping so fork-join
-// cadences (one parallel_for per Algorithm 1 iteration) do not pay a
-// wake-up on every beat.
+// instead of sleeping. Workers spin briefly before sleeping so
+// back-to-back fork-join calls do not pay a wake-up on every beat.
 //
 // NESTING / DEPTH TAGS: every task carries a nesting depth (outer sweep
-// points at depth 1, the cell or probe chunks they spawn at depth 2,
+// points at depth 1, the cell chunks they spawn at depth 2,
 // and so on). Workers take any task, but a thread that is BLOCKED
 // joining its own tasks helps through try_run_one(min_depth) with the
 // depth of the tasks it waits for -- so it only picks up work at least

@@ -160,7 +160,7 @@ void run_mixed_table_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   for (std::size_t n = spec.support_min; n <= spec.support_max; ++n) {
     core::Algorithm1Config acfg;
     acfg.support_size = n;
-    const auto sol = core::compute_optimal_defense(game, acfg, exec);
+    const auto sol = core::compute_optimal_defense(game, acfg);
     const auto indiff = core::check_indifference(game, sol.strategy, 1e-3);
 
     sim::MixedEvalConfig ecfg;
@@ -412,7 +412,7 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
       util::Stopwatch w;
       core::Algorithm1Config cfg;
       cfg.support_size = 5;
-      const auto sol = core::compute_optimal_defense(game_model, cfg, exec);
+      const auto sol = core::compute_optimal_defense(game_model, cfg);
       const auto ex =
           core::attacker_exploitability(game_model, sol.strategy, 4096);
       table.add_row({"algorithm1_n5", sol.defender_loss, ex.gain,

@@ -26,7 +26,7 @@ std::vector<SupportSweepRow> run_support_sweep(
 
     util::Stopwatch watch;
     const core::DefenseSolution sol =
-        core::compute_optimal_defense(game, cfg, executor);
+        core::compute_optimal_defense(game, cfg);
     const double seconds = watch.elapsed_seconds();
 
     const MixedEvalResult ev =

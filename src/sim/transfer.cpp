@@ -20,7 +20,7 @@ defense::MixedDefenseStrategy solve_on(const ExperimentContext& ctx,
   const core::PoisoningGame game(curves, ctx.poison_budget);
   core::Algorithm1Config acfg;
   acfg.support_size = config.support_size;
-  return core::compute_optimal_defense(game, acfg, executor).strategy;
+  return core::compute_optimal_defense(game, acfg).strategy;
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include "core/payoff.h"
 #include "game/pure_ne.h"
 #include "game/solvers.h"
+#include "runtime/executor.h"
+#include "sim/experiment.h"
 
 namespace pg::core {
 namespace {
@@ -295,6 +297,62 @@ TEST(Algorithm1Test, ConfigValidation) {
   cfg.epsilon = 0.0;
   EXPECT_THROW((void)compute_optimal_defense(game, cfg),
                std::invalid_argument);
+}
+
+// Algorithm 1 on the standard game at n = 2..5, captured as hex floats
+// from the build whose gradient probes ran through runtime::parallel_for.
+// The serial probe loop must reproduce every bit, with or without an
+// executor passed in.
+struct Algorithm1Bits {
+  double defender_loss;
+  std::size_t iterations;
+  std::vector<double> support;
+  std::vector<double> probabilities;
+};
+
+const Algorithm1Bits kStandardGameBits[] = {
+    {0x1.b2423f9d5164ep-6, 2805,
+     {0x1.851d518920293p-2, 0x1.fb3dca6e1a0f5p-2},
+     {0x1.6e2c273f64f7ep-2, 0x1.48e9ec604d841p-1}},
+    {0x1.9fa32f29ee3fdp-6, 2642,
+     {0x1.28f636bbeff6ep-2, 0x1.ae15fe29e2091p-2, 0x1.f7505e33193e4p-2},
+     {0x1.820b3588efdb3p-3, 0x1.5196217754728p-2, 0x1.ed6443c4339fep-2}},
+    {0x1.94ef65c448ddp-6, 4189,
+     {0x1.cc4a667966142p-3, 0x1.7592d40891525p-2, 0x1.c29151c8a13fcp-2,
+      0x1.f71ac39d5c6cfp-2},
+     {0x1.f236e4f091c3fp-4, 0x1.a97078a582f6p-3, 0x1.2858fcb830ddap-2,
+      0x1.86610db8e9366p-2}},
+    {0x1.8dfc4dcaeae9ep-6, 5000,
+     {0x1.68ae86cad4891p-3, 0x1.4a6f14998cd97p-2, 0x1.999d09e900333p-2,
+      0x1.cfaf733e60a68p-2, 0x1.f82de7d3e3644p-2},
+     {0x1.6bdd9f6135f35p-4, 0x1.2e8bae3a651acp-3, 0x1.9415c3b478c7cp-3,
+      0x1.03778743443a9p-2, 0x1.404057ecff576p-2}}};
+
+TEST(Algorithm1Test, SerialProbesMatchParentBitForBit) {
+  const auto game = standard_game();
+  const auto exec = sim::make_executor(4);
+  for (runtime::Executor* executor : {static_cast<runtime::Executor*>(nullptr),
+                                      exec.get()}) {
+    const char* what = executor == nullptr ? "no executor" : "width 4";
+    for (std::size_t n = 2; n <= 5; ++n) {
+      const Algorithm1Bits& want = kStandardGameBits[n - 2];
+      Algorithm1Config cfg;
+      cfg.support_size = n;
+      const auto sol = compute_optimal_defense(game, cfg, executor);
+      EXPECT_EQ(sol.defender_loss, want.defender_loss) << what << ", n=" << n;
+      EXPECT_EQ(sol.iterations, want.iterations) << what << ", n=" << n;
+      const auto& support = sol.strategy.removal_fractions();
+      const auto& prob = sol.strategy.probabilities();
+      ASSERT_EQ(support.size(), n) << what;
+      ASSERT_EQ(prob.size(), n) << what;
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(support[i], want.support[i])
+            << what << ", n=" << n << ", point " << i;
+        EXPECT_EQ(prob[i], want.probabilities[i])
+            << what << ", n=" << n << ", point " << i;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------- ne_properties

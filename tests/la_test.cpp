@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "la/eigen.h"
 #include "la/matrix.h"
@@ -149,7 +150,7 @@ Vector naive_matvec_transposed(const Matrix& m, const Vector& x) {
 
 TEST(MatrixTest, BlockedMatvecEqualsNaiveLoops) {
   util::Rng rng(31);
-  for (const std::size_t rows : {3u, 7u}) {
+  for (const std::size_t rows : {1u, 3u, 4u, 7u, 8u, 37u}) {
     for (const std::size_t cols : {1u, 511u, 512u, 513u, 1030u}) {
       Matrix m(rows, cols);
       for (std::size_t r = 0; r < rows; ++r) {
@@ -162,6 +163,28 @@ TEST(MatrixTest, BlockedMatvecEqualsNaiveLoops) {
       EXPECT_EQ(m.matvec(x), naive_matvec(m, x)) << rows << "x" << cols;
       EXPECT_EQ(m.matvec_transposed(y), naive_matvec_transposed(m, y))
           << rows << "x" << cols;
+    }
+  }
+}
+
+// The Hedge step computes A x as A^T.matvec_transposed(x): entry i is the
+// same column-ascending chain either way, so the two must agree exactly.
+TEST(MatrixTest, TransposedMatvecTransposedEqualsMatvec) {
+  util::Rng rng(37);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {37, 53}, {1, 513}, {256, 256}};
+  for (const auto& [rows, cols] : shapes) {
+    Matrix m(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) m(r, c) = rng.normal();
+    }
+    Vector x(cols);
+    for (double& v : x) v = rng.normal();
+    const Vector want = m.matvec(x);
+    const Vector got = m.transposed().matvec_transposed(x);
+    ASSERT_EQ(got.size(), want.size()) << rows << "x" << cols;
+    for (std::size_t r = 0; r < rows; ++r) {
+      EXPECT_EQ(got[r], want[r]) << rows << "x" << cols << ", entry " << r;
     }
   }
 }
